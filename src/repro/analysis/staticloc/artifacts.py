@@ -51,7 +51,6 @@ from repro.experiments.runner import (
 from repro.tracegen import io as trace_io
 from repro.tracegen.events import ReferenceTrace
 from repro.tracegen.interpreter import generate_trace
-from repro.tracegen.io import _event_from_dict, _event_to_dict
 from repro.vm.analyzers import LRUSweep
 from repro.vm.fastsim import cd_fast_applicable, simulate_cd_fast
 from repro.vm.metrics import SimulationResult
@@ -62,7 +61,8 @@ from repro.workloads import get_workload
 __all__ = ["StaticArtifacts", "static_artifacts_for", "clear_static_cache"]
 
 #: bump when the closed-form math or the cache layout changes
-STATIC_FORMAT = 1
+#: (v2: directives stored as integer columns, as in trace files)
+STATIC_FORMAT = 2
 
 
 @dataclass
@@ -191,13 +191,14 @@ def _load_entry(
                 raise ValueError(
                     f"static cache format {header.get('static_format')}"
                 )
+            n_references = int(header["n_references"])
             string = StaticString(
                 program_name=header["program_name"],
-                n_references=int(header["n_references"]),
+                n_references=n_references,
                 total_pages=int(header["total_pages"]),
-                directives=[
-                    _event_from_dict(d) for d in header["directives"]
-                ],
+                directive_table=trace_io.directive_table_from_archive(
+                    arrays, n_references
+                ),
                 array_pages={
                     name: (int(first), int(count))
                     for name, (first, count) in header["array_pages"].items()
@@ -251,7 +252,6 @@ def _store_entry(
                 name: [first, count]
                 for name, (first, count) in string.array_pages.items()
             },
-            "directives": [_event_to_dict(d) for d in string.directives],
         }
         best = ws.min_space_time()
         tmp = path.with_name(path.name + f".tmp{os.getpid()}.npz")
@@ -283,6 +283,7 @@ def _store_entry(
                         best.fault_service,
                     ]
                 ),
+                **trace_io.directive_arrays(string.directive_table),
             )
             os.replace(tmp, path)
         finally:

@@ -30,6 +30,7 @@ from repro.directives.model import InstrumentationPlan
 from repro.frontend import ast
 from repro.frontend.symbols import SymbolTable
 from repro.tracegen.compile import _Binder, _Fallback
+from repro.tracegen.events import DirectiveTable
 from repro.tracegen.interpreter import Interpreter, _StopExecution, _TraceFull
 
 __all__ = ["StaticCompiler", "generate_static_string"]
@@ -116,7 +117,7 @@ def generate_static_string(
         program_name=program.name,
         n_references=n,
         total_pages=max(interpreter.layout.total_pages, 1),
-        directives=interpreter._events,
+        directive_table=DirectiveTable.from_events(interpreter._events),
         array_pages={
             name: (p.first_page, p.page_count)
             for name, p in interpreter.layout.placements.items()

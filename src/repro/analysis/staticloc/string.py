@@ -25,6 +25,7 @@ fallbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from repro.analysis.staticloc.affine import ClosedFormPages
 from repro.analysis.symbolic.collapse import Surrogate, detect_runs, kept_mask
 from repro.analysis.symbolic.runtrace import Run
-from repro.tracegen.events import DirectiveEvent, ReferenceTrace
+from repro.tracegen.events import DirectiveEvent, DirectiveTable, ReferenceTrace
 
 __all__ = ["RunBuffer", "StaticString"]
 
@@ -145,12 +146,16 @@ class StaticString:
     program_name: str
     n_references: int
     total_pages: int
-    directives: List[DirectiveEvent] = field(default_factory=list)
+    directive_table: DirectiveTable = field(default_factory=DirectiveTable.empty)
     array_pages: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     truncated: bool = False
     kept_pos: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     kept_pages: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
     runs: List[Run] = field(default_factory=list)
+
+    @cached_property
+    def directives(self) -> List[DirectiveEvent]:
+        return self.directive_table.events()
 
     @property
     def pages(self) -> _VirtualPages:
@@ -182,7 +187,7 @@ class StaticString:
             program_name=self.program_name,
             pages=self.kept_pages,
             total_pages=self.total_pages,
-            directives=list(self.directives),
+            directives=self.directive_table,
             array_pages=dict(self.array_pages),
             truncated=self.truncated,
         )

@@ -1,38 +1,45 @@
 """Closed-form CD replay over the run-structured trace.
 
-:func:`~repro.vm.fastsim.simulate_cd_fast` is already a segment-level
-replay: a reference faults iff its LRU stack distance exceeds the
+:func:`~repro.vm.fastsim.simulate_cd_fast` replays CD as a segment-level
+recurrence: a reference faults iff its LRU stack distance exceeds the
 current residency ``r``, which ramps up by one per fault toward a
-piecewise-constant target.  This module replays the same recurrence
-over the *collapsed* structure instead of the full distance array:
+piecewise-constant target.  This module runs the same kernel
+(:func:`~repro.vm.fastsim.replay_cd`, same schedule, same saturated
+arithmetic) over the *collapsed* structure instead of the full distance
+array:
 
-* **kept stretches** are processed exactly like the fast path (ramp by
-  ``argmax`` over the kept distance slice, then a per-target prefix sum
-  for the saturated remainder);
-* **omitted spans** — the interior copies of a collapsed run — reuse
-  the copy-1 distance block ``dc``.  Saturated spans are pure
-  arithmetic (``faults += Ω · #(dc > target)``); spans reached while
-  still ramping are walked copy by copy, but each faulting copy raises
-  ``r``, so at most ``target`` copies are walked before the span either
-  saturates or stops faulting (a fault-free copy at unchanged ``r``
-  proves all remaining copies fault-free too).
+* every kept reference gets its segment's target as threshold, and one
+  prefix count of the kept references above it — weighted by the
+  surrogate's weights, so each copy-1 slot also stands for its ``Ω``
+  omitted copies — makes a saturated segment plain arithmetic, omitted
+  spans included (``Ω ×`` the count in the copy-1 block);
+* a segment entered below its target is walked over its kept
+  references only — a search for the next distance above ``r``, one
+  fault per step — until ``r`` reaches the target.  Omitted copies
+  never fault while ``r`` ramps: each distinct page's first reference
+  in a run's copy 0 sits at stack depth ≥ its rank among them, so copy
+  0 leaves ``r ≥ min(distinct pages, target)``, and every later copy
+  references its pages at depth ≤ the distinct count.  The walk adds
+  them at the live residency and moves on; after saturation the rest
+  of the segment is again prefix arithmetic.
 
 The decomposition is sound because runs never straddle a directive
 position (:func:`~repro.analysis.symbolic.collapse.detect_runs` splits
-segments there), so every allocation boundary falls between structure
-pieces; this is re-checked defensively and a :exc:`ValueError` falls
-back to the exact replay at the call site.
+segments there), so a run's copies share one segment; this is
+re-checked up front and a :exc:`ValueError` falls back to the exact
+replay at the call site.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from bisect import bisect_right
+from typing import List, Optional
 
 import numpy as np
 
 from repro.analysis.symbolic.collapse import Surrogate
 from repro.analysis.symbolic.runtrace import RunTrace
-from repro.vm.fastsim import _allocation_schedule, cd_fast_applicable
+from repro.vm.fastsim import cd_schedule, first_above, prefix_sum, replay_cd
 from repro.vm.metrics import FAULT_SERVICE_REFERENCES, SimulationResult
 from repro.vm.policies.cd import CDConfig
 
@@ -59,7 +66,9 @@ def simulate_cd_symbolic(
     """
     trace = runtrace.trace
     config = config or CDConfig()
-    if not cd_fast_applicable(trace, config):
+    n = len(trace.pages)
+    schedule = cd_schedule(trace.directive_table, config, n)
+    if schedule is None:
         raise ValueError("trace/config requires the event-driven simulator")
     s = surrogate if surrogate is not None else Surrogate(trace.pages, runtrace.runs)
     if kept_distances is None:
@@ -67,141 +76,81 @@ def simulate_cd_symbolic(
 
         kept_distances = LRUSweep(s.kept_pages)._distances
     d = kept_distances
-    kept_pos = s.kept_pos
-    kept_count = s.kept_count
-    n = len(trace.pages)
-    nr = len(s.r_olo)
+    bounds, targets = schedule.bounds, schedule.targets
+    _check_structure(s, bounds, n)
 
-    prefix_cache = {}
+    # kept index of each segment boundary; a run's omitted copies sit
+    # right before kept index q (its last copy), after its copy-1 block
+    kept_bounds = np.searchsorted(s.kept_pos, bounds)
+    above = d > np.repeat(targets, np.diff(kept_bounds))
+    weighted = prefix_sum(above, s.weights)
+    seg_faults = weighted[kept_bounds[1:]] - weighted[kept_bounds[:-1]]
+    run_bounds = np.searchsorted(s.r_olo, bounds).tolist()
+    span_refs = prefix_sum(s.r_block, s.r_omega).tolist()
+    qs = (s.r_c1ki + s.r_block).tolist()
+    kb = kept_bounds.tolist()
+    tl = targets.tolist()
 
-    def kprefix(tgt: int) -> np.ndarray:
-        p = prefix_cache.get(tgt)
-        if p is None:
-            p = np.empty(len(d) + 1, dtype=np.int64)
-            p[0] = 0
-            np.cumsum(d > tgt, out=p[1:])
-            prefix_cache[tgt] = p
-        return p
+    def ramp(k: int, r: int, acc: List[int]) -> int:
+        t = tl[k]
+        j, end = kb[k], kb[k + 1]
+        i, last = run_bounds[k], run_bounds[k + 1]
+        while r < t:
+            hit = first_above(d, j, end, r)
+            stop = end if hit < 0 else hit
+            # every omitted copy inserted before ``stop`` is a hit
+            skip = bisect_right(qs, stop, i, last)
+            acc[1] += r * (stop - j + span_refs[skip] - span_refs[i])
+            i, j = skip, stop
+            if hit < 0:
+                return r
+            acc[0] += 1
+            acc[1] += r + 1
+            acc[2] += r + 1
+            r += 1
+            j = hit + 1
+        # saturated for the rest of the segment
+        faults = int(weighted[end] - weighted[j])
+        acc[0] += faults
+        acc[1] += t * (end - j + span_refs[last] - span_refs[i])
+        acc[2] += t * faults
+        return r
 
-    r = 0
-    target = config.min_allocation
-    mem_sum = 0
-    fault_space = 0
-    faults = 0
-
-    def kept_piece(x: int, y: int) -> None:
-        """True references [x, y), all kept — fastsim's run_segment."""
-        nonlocal r, mem_sum, fault_space, faults
-        if y <= x:
-            return
-        j0 = int(kept_count[x])
-        j1 = j0 + (y - x)
-        if j1 > len(kept_pos) or int(kept_pos[j1 - 1]) != y - 1:
-            raise ValueError("collapsed span overlaps a kept stretch")
-        cur = j0
-        while r < target and cur < j1:
-            window = d[cur:j1] > r
-            hit = int(np.argmax(window))
-            if not window[hit]:
-                mem_sum += r * (j1 - cur)
-                return
-            mem_sum += r * hit
-            r = min(r + 1, target)
-            mem_sum += r
-            fault_space += r * fault_service
-            faults += 1
-            cur += hit + 1
-        if cur < j1:
-            p = kprefix(target)
-            seg_faults = int(p[j1] - p[cur])
-            faults += seg_faults
-            mem_sum += target * (j1 - cur)
-            fault_space += target * fault_service * seg_faults
-
-    def omit_piece(i: int) -> None:
-        """The Ω omitted copies of run ``i`` (copy-1 distance layout)."""
-        nonlocal r, mem_sum, fault_space, faults
-        block = int(s.r_block[i])
-        c1 = int(s.r_c1ki[i])
-        dc = d[c1 : c1 + block]
-        left = int(s.r_omega[i])
-        while left:
-            if r >= target:
-                f1 = int((dc > target).sum())
-                faults += f1 * left
-                mem_sum += target * block * left
-                fault_space += target * fault_service * f1 * left
-                return
-            cur = 0
-            faulted = False
-            while r < target and cur < block:
-                window = dc[cur:] > r
-                hit = int(np.argmax(window))
-                if not window[hit]:
-                    mem_sum += r * (block - cur)
-                    cur = block
-                    break
-                mem_sum += r * hit
-                r = min(r + 1, target)
-                mem_sum += r
-                fault_space += r * fault_service
-                faults += 1
-                faulted = True
-                cur += hit + 1
-            if cur < block:  # saturated mid-copy
-                f1 = int((dc[cur:] > target).sum())
-                faults += f1
-                mem_sum += target * (block - cur)
-                fault_space += target * fault_service * f1
-            left -= 1
-            if not faulted and r < target:
-                # Steady state below target: the remaining identical
-                # copies can never fault.
-                mem_sum += r * block * left
-                return
-
-    next_run = 0  # runs are disjoint and sorted; segments arrive in order
-
-    def run_segment(a: int, b: int) -> None:
-        nonlocal next_run
-        i = next_run
-        if i > 0 and int(s.r_ohi[i - 1]) > a:
-            raise ValueError("allocation boundary inside a collapsed span")
-        cur = a
-        while i < nr and int(s.r_olo[i]) < b:
-            if int(s.r_ohi[i]) > b:
-                raise ValueError("allocation boundary inside a collapsed span")
-            kept_piece(cur, int(s.r_olo[i]))
-            omit_piece(i)
-            cur = int(s.r_ohi[i])
-            i += 1
-        next_run = i
-        kept_piece(cur, b)
-
-    at = 0
-    for position, new_target, _granted, _event in _allocation_schedule(
-        trace, config
-    ):
-        position = min(position, n)
-        if position > at:
-            run_segment(at, position)
-            at = position
-        target = new_target
-        if r > target:
-            r = target
-    if at < n:
-        run_segment(at, n)
-
+    faults, mem_sum, fault_mem = replay_cd(schedule, seg_faults, ramp)
     return SimulationResult(
         policy="CD",
         program=trace.program_name,
         page_faults=faults,
         references=n,
         mem_average=mem_sum / n if n else 0.0,
-        space_time=float(mem_sum + fault_space),
+        space_time=float(mem_sum + fault_mem * fault_service),
         parameter=config.pi_cap,
         fault_service=fault_service,
         swaps=0,
         denied_requests=0,
         lock_releases=0,
     )
+
+
+def _check_structure(s: Surrogate, bounds: np.ndarray, n: int) -> None:
+    """Reject journals the walk cannot account for: a collapsed run's
+    kept copies out of place, or an allocation boundary inside a run
+    before its last copy."""
+    if not len(s.r_start):
+        return
+    kept_pos = s.kept_pos
+    q = s.r_c1ki + s.r_block
+    if (
+        q.max() >= len(kept_pos)
+        or np.any(kept_pos[s.r_c1ki] != s.r_start + s.r_block)
+        or np.any(kept_pos[q - 1] != s.r_olo - 1)
+        or np.any(kept_pos[q] != s.r_ohi)
+        or len(kept_pos) + int((s.r_block * s.r_omega).sum()) != n
+    ):
+        raise ValueError("collapsed span overlaps a kept stretch")
+    cuts = bounds[1:-1]
+    if np.any(
+        np.searchsorted(cuts, s.r_start, side="right")
+        != np.searchsorted(cuts, s.r_ohi - 1, side="right")
+    ):
+        raise ValueError("allocation boundary inside a collapsed span")

@@ -149,7 +149,7 @@ def generate_runtrace(
     compiler = SymbolicCompiler(interpreter)
     interpreter._compiler = compiler
     trace = interpreter.run()
-    boundaries = [d.position for d in trace.directives]
+    boundaries = trace.directive_table.position.tolist()
     runs = detect_runs(trace.pages, compiler.segments, boundaries)
     result = RunTrace(trace, runs)
     if stats is not None:

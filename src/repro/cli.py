@@ -418,7 +418,7 @@ def _cmd_table(args) -> int:
     import os
     import time
 
-    from repro.engine.jobs import TABLE_RENDERERS, render_table
+    from repro.experiments import TABLE_RENDERERS, render_table
     from repro.experiments.runner import STATS, warm_for_table
 
     if args.timelines:

@@ -15,8 +15,9 @@ Built-in kinds
     disk cache (:func:`repro.experiments.runner.artifacts_for`).
 
 ``table``
-    Render one paper table or ablation; the payload carries the full
-    text, which is what makes resumed sweeps byte-identical.
+    Render one paper table or ablation (the registry lives in
+    :data:`repro.experiments.TABLE_RENDERERS`); the payload carries the
+    full text, which is what makes resumed sweeps byte-identical.
 
 ``oracle``
     Run one batch of differential-oracle seeds
@@ -36,9 +37,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from repro.experiments import TABLE_RENDERERS, render_table
+
 __all__ = [
     "JOB_KINDS",
-    "TABLE_RENDERERS",
     "JobSpec",
     "params_fingerprint",
     "run_job",
@@ -77,34 +79,6 @@ def params_fingerprint(kind: str, params: Mapping[str, object]) -> str:
 
 
 # -- job kinds -----------------------------------------------------------------
-
-
-#: table/ablation name -> (module, callable) rendering it; shared by the
-#: ``table`` CLI subcommand and the engine's ``table`` job kind.
-TABLE_RENDERERS: Dict[str, Tuple[str, str]] = {
-    "1": ("repro.experiments.table1", "render_table1"),
-    "2": ("repro.experiments.table2", "render_table2"),
-    "3": ("repro.experiments.table3", "render_table3"),
-    "4": ("repro.experiments.table4", "render_table4"),
-    "zoo": ("repro.experiments.ablations", "render_policy_zoo"),
-    "locks": ("repro.experiments.ablations", "render_lock_ablation"),
-    "sizing": ("repro.experiments.ablations", "render_sizing_ablation"),
-    "wsfamily": ("repro.experiments.ablations", "render_ws_family"),
-    "adaptive": ("repro.experiments.ablations", "render_adaptive_study"),
-    "geometry": ("repro.experiments.geometry", "render_geometry"),
-    "multiprog": ("repro.experiments.multiprog_study", "render_multiprog"),
-    "loadctl": ("repro.experiments.load_control", "render_load_control"),
-    "control": ("repro.experiments.controllability", "render_controllability"),
-}
-
-
-def render_table(which: str) -> str:
-    """Render one table/ablation by name (raises KeyError on unknown)."""
-    import importlib
-
-    module_name, func_name = TABLE_RENDERERS[which]
-    module = importlib.import_module(module_name)
-    return getattr(module, func_name)()
 
 
 def _run_warm(params: Mapping[str, object]) -> dict:

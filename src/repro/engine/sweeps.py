@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.jobs import TABLE_RENDERERS, JobSpec
+from repro.engine.jobs import JobSpec
 from repro.engine.ledger import LedgerState, RunLedger
 from repro.engine.supervisor import Engine, EngineConfig, RunReport
+from repro.experiments import TABLE_RENDERERS
 
 __all__ = ["SweepResult", "build_sweep", "new_run_id", "run_sweep"]
 

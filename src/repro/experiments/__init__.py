@@ -7,8 +7,14 @@
 * :mod:`table1` … :mod:`table4` — the four tables of Section 5;
 * :mod:`ablations` — the policy zoo, sizing-strategy and LOCK ablations
   this reproduction adds;
-* :mod:`report` — plain-text table rendering.
+* :mod:`report` — plain-text table rendering;
+* :data:`TABLE_RENDERERS` / :func:`render_table` — every table and
+  ablation by name, for the ``table`` CLI subcommand and the sweep
+  engine's ``table`` job kind.
 """
+
+import importlib
+from typing import Dict, Tuple
 
 from repro.experiments.config import CDVariant, table1_rows, table2_rows, table34_rows
 from repro.experiments.runner import WorkloadArtifacts, artifacts_for, clear_cache
@@ -28,7 +34,32 @@ from repro.experiments.curves import policy_curves
 from repro.experiments.geometry import geometry_sweep
 from repro.experiments.multiprog_study import multiprog_study
 
+#: table/ablation name -> (module, callable) rendering it
+TABLE_RENDERERS: Dict[str, Tuple[str, str]] = {
+    "1": ("repro.experiments.table1", "render_table1"),
+    "2": ("repro.experiments.table2", "render_table2"),
+    "3": ("repro.experiments.table3", "render_table3"),
+    "4": ("repro.experiments.table4", "render_table4"),
+    "zoo": ("repro.experiments.ablations", "render_policy_zoo"),
+    "locks": ("repro.experiments.ablations", "render_lock_ablation"),
+    "sizing": ("repro.experiments.ablations", "render_sizing_ablation"),
+    "wsfamily": ("repro.experiments.ablations", "render_ws_family"),
+    "adaptive": ("repro.experiments.ablations", "render_adaptive_study"),
+    "geometry": ("repro.experiments.geometry", "render_geometry"),
+    "multiprog": ("repro.experiments.multiprog_study", "render_multiprog"),
+    "loadctl": ("repro.experiments.load_control", "render_load_control"),
+    "control": ("repro.experiments.controllability", "render_controllability"),
+}
+
+
+def render_table(which: str) -> str:
+    """Render one table/ablation by name (raises KeyError on unknown)."""
+    module_name, func_name = TABLE_RENDERERS[which]
+    return getattr(importlib.import_module(module_name), func_name)()
+
+
 __all__ = [
+    "TABLE_RENDERERS",
     "CDVariant",
     "WorkloadArtifacts",
     "artifacts_for",
@@ -44,6 +75,7 @@ __all__ = [
     "multiprog_study",
     "policy_curves",
     "policy_zoo",
+    "render_table",
     "sizing_strategy_ablation",
     "table1_rows",
     "table2_rows",

@@ -232,6 +232,11 @@ def _entry_paths(cdir: Path, key: str) -> Tuple[Path, Path]:
     return cdir / f"trace-{key}.npz", cdir / f"sweeps-{key}.npz"
 
 
+#: every cache entry family on disk: trace-mode traces and sweeps, the
+#: symbolic tier's run journals, the static tier's strings
+ENTRY_PATTERNS = ("trace-*.npz", "sweeps-*.npz", "runs-*.npz", "static-*.npz")
+
+
 #: per-process counter making quarantine names unique within one pid
 _QUARANTINE_SEQ = itertools.count(1)
 
@@ -466,13 +471,7 @@ def clear_cache(disk: bool = True) -> None:
     cdir = cache_dir()
     if cdir is None or not cdir.is_dir():
         return
-    for pattern in (
-        "trace-*.npz",
-        "sweeps-*.npz",
-        "runs-*.npz",
-        "static-*.npz",
-        "*.corrupt",
-    ):
+    for pattern in (*ENTRY_PATTERNS, "*.corrupt"):
         for path in cdir.glob(pattern):
             path.unlink(missing_ok=True)
 
@@ -488,7 +487,7 @@ def cache_info() -> Dict[str, object]:
         "quarantined": 0,
     }
     if cdir is not None and cdir.is_dir():
-        files = list(cdir.glob("trace-*.npz")) + list(cdir.glob("sweeps-*.npz"))
+        files = [path for pattern in ENTRY_PATTERNS for path in cdir.glob(pattern)]
         info["disk_entries"] = len(files)
         info["disk_bytes"] = sum(f.stat().st_size for f in files)
         info["quarantined"] = len(list(cdir.glob("*.corrupt")))

@@ -611,7 +611,7 @@ def _stream_requests(trace: ReferenceTrace):
     """A representative request battery for one trace, with the exact
     event-driven reference result for each."""
     from repro.vm.policies import FIFOPolicy
-    from repro.vm.stream import StreamRequest, cd_streamable
+    from repro.vm.stream import StreamRequest
 
     v = max(1, trace.distinct_pages)
     n = max(1, len(trace.pages))
@@ -630,7 +630,7 @@ def _stream_requests(trace: ReferenceTrace):
     for tau in sorted({1, 3, max(1, n // 3), n + 5}):
         pairs.append((StreamRequest.ws(tau), ws.result(tau)))
     for config in (CDConfig(), CDConfig(pi_cap=1), CDConfig(min_allocation=3)):
-        if cd_streamable(config, trace.directives):
+        if fastsim.cd_fast_applicable(trace, config):
             pairs.append(
                 (
                     StreamRequest.cd(config),
@@ -672,7 +672,7 @@ def check_stream_events(
     residency) ≡ the event-driven simulator's, chunking included."""
     from repro.obs import RingBufferSink, Tracer
     from repro.obs.events import Fault
-    from repro.vm.stream import StreamEngine, StreamRequest, cd_streamable
+    from repro.vm.stream import StreamEngine, StreamRequest
 
     out: List[Divergence] = []
     v = max(1, trace.distinct_pages)
@@ -680,7 +680,7 @@ def check_stream_events(
         (StreamRequest.lru(max(2, v // 2)), LRUPolicy(frames=max(2, v // 2))),
         (StreamRequest.ws(7), WorkingSetPolicy(tau=7)),
     ]
-    if cd_streamable(CDConfig(), trace.directives):
+    if fastsim.cd_fast_applicable(trace, CDConfig()):
         runs.append((StreamRequest.cd(CDConfig()), CDPolicy(CDConfig())))
     for request, policy in runs:
         ring = RingBufferSink()

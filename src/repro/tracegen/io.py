@@ -9,10 +9,11 @@ keep the directive events with the pages.
 
 Two formats:
 
-* a single ``.npz`` file holding the page array plus a JSON header
-  (program name, page space, array layout, truncation flag, and the
-  directive events with their ALLOCATE request lists) — right for
-  traces that fit in RAM;
+* a single ``.npz`` file holding the page array, a JSON header
+  (program name, page space, array layout, truncation flag) and the
+  directive columns of :class:`~repro.tracegen.events.DirectiveTable`
+  as ``dir_<column>`` integer arrays — right for traces that fit in
+  RAM;
 * a **sharded directory** (``manifest.json`` + fixed-size ``.npy``
   shards) written incrementally by :class:`ShardedTraceWriter` and read
   back mmap-backed by :func:`open_sharded_trace` — right for traces
@@ -26,43 +27,47 @@ from __future__ import annotations
 
 import json
 import os
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.directives.model import AllocateRequest
-from repro.tracegen.events import DirectiveEvent, DirectiveKind, ReferenceTrace
+from repro.tracegen.events import (
+    DirectiveEvent,
+    DirectiveSource,
+    DirectiveTable,
+    ReferenceTrace,
+    as_directive_table,
+)
 
 #: bumped on any incompatible change to the on-disk layout
-#: (v2: companion sweep-array archives, version-stamped like traces)
-FORMAT_VERSION = 2
+#: (v2: companion sweep-array archives, version-stamped like traces;
+#: v3: directives stored as integer columns instead of JSON events)
+FORMAT_VERSION = 3
+
+#: archive key prefix of the directive columns
+DIRECTIVE_KEY_PREFIX = "dir_"
 
 
-def _event_to_dict(event: DirectiveEvent) -> dict:
+def directive_arrays(table: DirectiveTable) -> Dict[str, np.ndarray]:
+    """A directive table as ``.npz`` members (``dir_<column>``)."""
     return {
-        "position": event.position,
-        "kind": event.kind.value,
-        "site": event.site,
-        "requests": [
-            [r.priority_index, r.pages] for r in event.requests
-        ],
-        "lock_pages": list(event.lock_pages),
-        "priority_index": event.priority_index,
+        DIRECTIVE_KEY_PREFIX + name: column
+        for name, column in table.columns().items()
     }
 
 
-def _event_from_dict(data: dict) -> DirectiveEvent:
-    return DirectiveEvent(
-        position=int(data["position"]),
-        kind=DirectiveKind(data["kind"]),
-        site=int(data["site"]),
-        requests=tuple(
-            AllocateRequest(priority_index=int(pi), pages=int(x))
-            for pi, x in data["requests"]
-        ),
-        lock_pages=tuple(int(p) for p in data["lock_pages"]),
-        priority_index=int(data["priority_index"]),
+def directive_table_from_archive(archive, n_references: int) -> DirectiveTable:
+    """Decode the ``dir_<column>`` members of an open ``.npz``
+    (ValueError on any missing or malformed column)."""
+    return DirectiveTable.from_columns(
+        {
+            name: archive[DIRECTIVE_KEY_PREFIX + name]
+            for name in DirectiveTable.COLUMNS
+            if DIRECTIVE_KEY_PREFIX + name in archive.files
+        },
+        n_references,
     )
 
 
@@ -86,7 +91,6 @@ def save_trace(
             name: [first, count]
             for name, (first, count) in trace.array_pages.items()
         },
-        "directives": [_event_to_dict(d) for d in trace.directives],
     }
     writer = np.savez_compressed if compress else np.savez
     writer(
@@ -95,12 +99,16 @@ def save_trace(
         header=np.frombuffer(
             json.dumps(header).encode("utf-8"), dtype=np.uint8
         ),
+        **directive_arrays(trace.directive_table),
     )
     return path
 
 
 def load_trace(path: Union[str, Path]) -> ReferenceTrace:
-    """Read a trace previously written by :func:`save_trace`."""
+    """Read a trace previously written by :func:`save_trace`.
+
+    Raises :exc:`ValueError` for a foreign or other-version archive and
+    for malformed directive columns."""
     path = Path(path)
     with np.load(path) as archive:
         try:
@@ -108,18 +116,19 @@ def load_trace(path: Union[str, Path]) -> ReferenceTrace:
             header_bytes = archive["header"].tobytes()
         except KeyError as err:
             raise ValueError(f"{path} is not a saved trace: missing {err}") from None
-    header = json.loads(header_bytes.decode("utf-8"))
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"{path} uses trace format {version}; this build reads "
-            f"{FORMAT_VERSION}"
-        )
+        header = json.loads(header_bytes.decode("utf-8"))
+        version = header.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(
+                f"{path} uses trace format {version}; this build reads "
+                f"{FORMAT_VERSION}"
+            )
+        table = directive_table_from_archive(archive, len(pages))
     return ReferenceTrace(
         program_name=header["program_name"],
         pages=pages.astype(np.int32),
         total_pages=int(header["total_pages"]),
-        directives=[_event_from_dict(d) for d in header["directives"]],
+        directives=table,
         array_pages={
             name: (int(first), int(count))
             for name, (first, count) in header["array_pages"].items()
@@ -186,7 +195,7 @@ class ShardedTraceWriter:
         program_name: str,
         total_pages: int,
         shard_size: int = DEFAULT_SHARD_SIZE,
-        directives: Sequence[DirectiveEvent] = (),
+        directives: DirectiveSource = (),
         array_pages: Optional[Dict[str, tuple]] = None,
         truncated: bool = False,
     ):
@@ -197,7 +206,7 @@ class ShardedTraceWriter:
         self.program_name = program_name
         self.total_pages = total_pages
         self.shard_size = shard_size
-        self.directives = list(directives)
+        self.directive_table = as_directive_table(directives)
         self.array_pages = dict(array_pages or {})
         self.truncated = truncated
         self.length = 0
@@ -257,9 +266,6 @@ class ShardedTraceWriter:
             return self.directory / _MANIFEST
         while self._pending_len:
             self._flush_shard()
-        positions = [d.position for d in self.directives]
-        if positions != sorted(positions):
-            raise ValueError("directive events must be position-ordered")
         manifest = {
             "format_version": FORMAT_VERSION,
             "kind": "sharded-trace",
@@ -273,7 +279,10 @@ class ShardedTraceWriter:
                 name: [first, count]
                 for name, (first, count) in self.array_pages.items()
             },
-            "directives": [_event_to_dict(d) for d in self.directives],
+            "directives": {
+                name: column.tolist()
+                for name, column in self.directive_table.columns().items()
+            },
         }
         path = self.directory / _MANIFEST
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
@@ -294,7 +303,7 @@ def save_trace_sharded(
         program_name=trace.program_name,
         total_pages=trace.total_pages,
         shard_size=shard_size,
-        directives=trace.directives,
+        directives=trace.directive_table,
         array_pages=trace.array_pages,
         truncated=trace.truncated,
     )
@@ -324,8 +333,8 @@ class _ShardedChunks:
         return self.trace.length
 
     @property
-    def directives(self):
-        return self.trace.directives
+    def directive_table(self) -> DirectiveTable:
+        return self.trace.directive_table
 
     def chunks(self):
         from repro.vm.stream.chunks import TraceChunk
@@ -368,9 +377,10 @@ class ShardedTrace:
         self.truncated = bool(manifest["truncated"])
         self.length = int(manifest["length"])
         self.shard_size = int(manifest["shard_size"])
-        self.directives = [
-            _event_from_dict(d) for d in manifest["directives"]
-        ]
+        columns = manifest["directives"]
+        if not isinstance(columns, dict):
+            raise ValueError(f"{path}: directives are not a column mapping")
+        self.directive_table = DirectiveTable.from_columns(columns, self.length)
         self.array_pages = {
             name: (int(first), int(count))
             for name, (first, count) in manifest["array_pages"].items()
@@ -441,17 +451,21 @@ class ShardedTrace:
             program_name=self.program_name,
             pages=self.read(0, self.length),
             total_pages=self.total_pages,
-            directives=list(self.directives),
+            directives=self.directive_table,
             array_pages=dict(self.array_pages),
             truncated=self.truncated,
         )
+
+    @cached_property
+    def directives(self) -> List[DirectiveEvent]:
+        return self.directive_table.events()
 
     def summary(self) -> str:
         return (
             f"{self.program_name}: R={self.length} references in "
             f"{len(self._shards)} shard(s) of {self.shard_size}, "
             f"V={self.total_pages} pages, "
-            f"{len(self.directives)} directive events"
+            f"{len(self.directive_table)} directive events"
         )
 
 

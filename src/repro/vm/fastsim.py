@@ -7,9 +7,22 @@ always the top ``r`` entries of the global LRU stack, where ``r`` grows
 by one per fault up to the current target and is clamped down whenever
 an ALLOCATE grants less.  A reference faults iff its LRU stack distance
 exceeds the current ``r`` — and stack distances are computed once per
-trace (shared with :class:`~repro.vm.analyzers.LRUSweep`), so replaying
-a directive set costs one pass over the *segments* between directives
-instead of one Python-level step per reference.
+trace (shared with :class:`~repro.vm.analyzers.LRUSweep`).
+
+The replay is one kernel, :func:`replay_cd`, over the *segments*
+between ALLOCATEs.  :func:`cd_schedule` builds the segments from the
+directive columns in one vectorized step (PI-cap choice, the
+``min_allocation`` floor).  A segment entered at its target stays
+*saturated* — a reference faults iff its distance exceeds the target —
+so with a per-reference target threshold and one prefix count of the
+references above it, every run of saturated segments is plain
+arithmetic.  Python-level work is left only for *ramp* steps, where a
+segment is entered below its target (the first segment, and every
+ALLOCATE that raises the target): each fault there raises ``r`` by one
+until the target is reached, and the rest of the segment is again
+arithmetic.  The structure walk of the trace-free tiers
+(:mod:`repro.analysis.symbolic.cd`) runs the same kernel with its own
+ramp step.
 
 Every number produced here is exactly equal to driving
 :class:`~repro.vm.policies.cd.CDPolicy` through
@@ -30,53 +43,171 @@ use the event-driven simulator when eviction order matters.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.tracegen.events import DirectiveEvent, DirectiveKind, ReferenceTrace
+from repro.tracegen.events import ALLOCATE_CODE, DirectiveTable, ReferenceTrace
 from repro.vm.metrics import FAULT_SERVICE_REFERENCES, SimulationResult
 from repro.vm.policies.cd import CDConfig
 
 
-def cd_fast_applicable(trace: ReferenceTrace, config: CDConfig) -> bool:
-    """True when the closed-form replay reproduces the full simulator.
+class CDSchedule(NamedTuple):
+    """The allocation targets one CD configuration runs at.
 
-    Requires the uniprogramming assumption (no memory ceiling) and no
-    LOCK pinning in play; UNLOCK events without a prior LOCK are inert
-    and do not disqualify a trace.
+    Segment ``s`` covers references ``[bounds[s], bounds[s + 1])`` and
+    runs at target ``targets[s]``: segment 0 at ``min_allocation``,
+    segment ``s ≥ 1`` at the target the ALLOCATE in table row
+    ``rows[s - 1]`` sets, whose granted request is ``granted[s - 1]``
+    (an index into the table's ``req_*`` columns).  ALLOCATE positions
+    past the string are clamped to its length.
     """
+
+    bounds: np.ndarray  # int64[E + 2]: 0, ALLOCATE positions, length
+    targets: np.ndarray  # int64[E + 1]
+    rows: np.ndarray  # int64[E]
+    granted: np.ndarray  # int64[E]
+
+
+def _closed_form_applies(table: DirectiveTable, config: CDConfig) -> bool:
+    # UNLOCK events without a prior LOCK are inert, so only LOCK rows
+    # (when honored) and a memory ceiling rule the closed form out.
     if config.memory_limit is not None:
         return False
-    if config.honor_locks and any(
-        d.kind is DirectiveKind.LOCK for d in trace.directives
-    ):
-        return False
-    return True
+    return not (config.honor_locks and table.has_locks)
 
 
-def _allocation_schedule(
-    trace: ReferenceTrace, config: CDConfig
-) -> List[Tuple[int, int, object, DirectiveEvent]]:
-    """(position, new_target, granted_request, event) per ALLOCATE,
-    mirroring CDPolicy's grant rule for the no-ceiling case: the first
-    eligible (outermost) request is always affordable."""
-    cap = config.pi_cap
-    floor = config.min_allocation
-    schedule: List[Tuple[int, int, object, DirectiveEvent]] = []
-    for event in trace.directives:
-        if event.kind is not DirectiveKind.ALLOCATE:
+def cd_fast_applicable(trace: ReferenceTrace, config: CDConfig) -> bool:
+    """True when the closed-form replay reproduces the full simulator:
+    the uniprogramming assumption (no memory ceiling) and no LOCK
+    pinning in play."""
+    return _closed_form_applies(trace.directive_table, config)
+
+
+def cd_schedule(
+    table: DirectiveTable, config: CDConfig, length: int
+) -> Optional[CDSchedule]:
+    """The segment schedule of ``config`` over a string of ``length``
+    references, or None when the closed form does not apply.
+
+    Mirrors CDPolicy's grant rule for the no-ceiling case: the first
+    request with ``PI ≤ pi_cap`` (the innermost one when none is), which
+    is always affordable, floored at ``min_allocation``.
+    """
+    if not _closed_form_applies(table, config):
+        return None
+    rows = np.flatnonzero(table.kind == ALLOCATE_CODE)
+    first = table.req_offsets[rows]
+    if config.pi_cap is None:
+        granted = first
+    else:
+        last = table.req_offsets[rows + 1] - 1
+        eligible = table.req_pi <= config.pi_cap
+        slots = len(eligible)
+        # index of the first eligible request at or after each slot
+        following = np.where(eligible, np.arange(slots), slots)
+        following = np.minimum.accumulate(following[::-1])[::-1]
+        candidate = following[first]
+        granted = np.where(candidate <= last, candidate, last)
+    targets = np.empty(len(rows) + 1, dtype=np.int64)
+    targets[0] = config.min_allocation
+    np.maximum(table.req_pages[granted], config.min_allocation, out=targets[1:])
+    bounds = np.empty(len(rows) + 2, dtype=np.int64)
+    bounds[0] = 0
+    np.minimum(table.position[rows], length, out=bounds[1:-1])
+    bounds[-1] = length
+    return CDSchedule(bounds, targets, rows, granted)
+
+
+def prefix_sum(values: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """``P[x]`` = sum of ``values[:x]`` (each times its weight): with
+    boolean values, the (weighted) count of True in ``[0, x)``."""
+    out = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values if weights is None else values * weights, out=out[1:])
+    return out
+
+
+def first_above(values: np.ndarray, lo: int, hi: int, r: int) -> int:
+    """Smallest ``j`` in ``[lo, hi)`` with ``values[j] > r``, else -1.
+
+    Scans geometrically growing windows, so a hit near ``lo`` costs a
+    small comparison however long the range is."""
+    width = 32
+    while lo < hi:
+        stop = min(hi, lo + width)
+        window = values[lo:stop] > r
+        k = int(window.argmax())
+        if window[k]:
+            return lo + k
+        lo = stop
+        width <<= 2
+    return -1
+
+
+#: ``ramp(s, r, acc) -> r``: walk segment ``s`` entered at residency
+#: ``r`` below its target, adding to ``acc`` (see :func:`replay_cd`)
+Ramp = Callable[[int, int, List[int]], int]
+
+
+def replay_cd(
+    schedule: CDSchedule,
+    seg_faults: np.ndarray,
+    ramp: Ramp,
+    on_saturated: Optional[Callable[[int, int], None]] = None,
+    clamps: Optional[List[int]] = None,
+) -> List[int]:
+    """The CD recurrence over the schedule's segments.
+
+    ``seg_faults[s]`` — the faults segment ``s`` takes when it runs
+    saturated (residency pinned at ``targets[s]``).  ``ramp`` walks a
+    segment entered below its target and returns the residency at its
+    end, adding that segment's faults, Σ residency after each
+    reference and Σ residency at faults to ``acc``.  Segments entered
+    at their target are accounted from prefix sums in one step per
+    run of them; ``on_saturated(s, e)`` sees each such run
+    ``[s, e)``.  ``clamps`` collects (in order) the ALLOCATE indices
+    whose grant shrank the live residency.
+
+    Returns ``acc = [faults, Σ residency, Σ residency at faults]``.
+    """
+    bounds, targets = schedule.bounds, schedule.targets
+    lengths = np.diff(bounds)
+    cum_faults = prefix_sum(seg_faults)
+    cum_mem = prefix_sum(targets, lengths)
+    cum_fault_mem = prefix_sum(targets, seg_faults)
+    # a segment whose target exceeds the one before it is entered
+    # below target even when its predecessor ran saturated
+    rising = (np.flatnonzero(targets[1:] > targets[:-1]) + 1).tolist()
+    rising.append(len(targets))
+    tl = targets.tolist()
+    acc = [0, 0, 0]
+    r = 0
+    k = 0
+    nxt = 0
+    while k < len(tl):
+        t = tl[k]
+        if r > t:
+            if clamps is not None:
+                clamps.append(k - 1)
+            r = t
+        if r < t:
+            r = ramp(k, r, acc)
+            k += 1
             continue
-        requests = event.requests
-        if cap is None:
-            chosen = requests[0]
-        else:
-            eligible = [r for r in requests if r.priority_index <= cap]
-            chosen = eligible[0] if eligible else requests[-1]
-        schedule.append(
-            (event.position, max(chosen.pages, floor), chosen, event)
-        )
-    return schedule
+        while rising[nxt] <= k:
+            nxt += 1
+        e = rising[nxt]
+        acc[0] += int(cum_faults[e] - cum_faults[k])
+        acc[1] += int(cum_mem[e] - cum_mem[k])
+        acc[2] += int(cum_fault_mem[e] - cum_fault_mem[k])
+        if on_saturated is not None:
+            on_saturated(k, e)
+        if clamps is not None and e - k > 1:
+            drops = np.flatnonzero(targets[k + 1 : e] < targets[k : e - 1])
+            clamps.extend((drops + k).tolist())
+        r = tl[e - 1]
+        k = e
+    return acc
 
 
 def simulate_cd_fast(
@@ -96,107 +227,63 @@ def simulate_cd_fast(
     events equivalent to the event-driven path's stream.
     """
     config = config or CDConfig()
-    if not cd_fast_applicable(trace, config):
+    n = len(trace.pages)
+    schedule = cd_schedule(trace.directive_table, config, n)
+    if schedule is None:
         raise ValueError("trace/config requires the event-driven simulator")
     if distances is None:
         from repro.vm.analyzers import LRUSweep
 
         distances = LRUSweep(trace)._distances
-    n = len(trace.pages)
     d = distances
+    bounds, targets = schedule.bounds, schedule.targets
+    threshold = np.repeat(targets, np.diff(bounds))
+    above = d > threshold  # a fault whenever the residency is at target
+    prefix = prefix_sum(above)
+    seg_faults = prefix[bounds[1:]] - prefix[bounds[:-1]]
+    bl = bounds.tolist()
+    tl = targets.tolist()
+    # (position, post-fault residency) per fault, in replay order
+    fault_log: Optional[List[Tuple[int, int]]] = [] if tracer is not None else None
+
+    def ramp(k: int, r: int, acc: List[int]) -> int:
+        cur, b, t = bl[k], bl[k + 1], tl[k]
+        while r < t:
+            j = first_above(d, cur, b, r)
+            if j < 0:
+                acc[1] += r * (b - cur)
+                return r
+            acc[1] += r * (j - cur) + r + 1
+            r += 1
+            acc[0] += 1
+            acc[2] += r
+            if fault_log is not None:
+                fault_log.append((j, r))
+            cur = j + 1
+        faults = int(prefix[b] - prefix[cur])
+        acc[0] += faults
+        acc[1] += t * (b - cur)
+        acc[2] += t * faults
+        if fault_log is not None:
+            hits = cur + np.flatnonzero(above[cur:b])
+            fault_log.extend((j, t) for j in hits.tolist())
+        return r
+
+    def saturated(k: int, e: int) -> None:
+        lo, hi = bl[k], bl[e]
+        hits = lo + np.flatnonzero(above[lo:hi])
+        fault_log.extend(zip(hits.tolist(), threshold[hits].tolist()))
+
+    clamps: Optional[List[int]] = [] if tracer is not None else None
+    faults, mem_sum, fault_mem = replay_cd(
+        schedule,
+        seg_faults,
+        ramp,
+        on_saturated=saturated if tracer is not None else None,
+        clamps=clamps,
+    )
     if tracer is not None:
-        from repro.obs import events as obs
-
-    # Prefix fault counts per distinct target, built lazily: entry T
-    # holds P with P[k] = #references in [0, k) whose distance > T.
-    prefix_cache: Dict[int, np.ndarray] = {}
-
-    def prefix(target: int) -> np.ndarray:
-        p = prefix_cache.get(target)
-        if p is None:
-            p = np.empty(n + 1, dtype=np.int64)
-            p[0] = 0
-            np.cumsum(d > target, out=p[1:])
-            prefix_cache[target] = p
-        return p
-
-    r = 0  # resident-set size == depth of the LRU-stack prefix held
-    target = config.min_allocation
-    mem_sum = 0
-    fault_space = 0
-    faults = 0
-
-    def emit_fault(index: int, resident: int) -> None:
-        tracer.emit(
-            obs.Fault(
-                time=index, page=int(trace.pages[index]), resident=resident
-            )
-        )
-        tracer.emit(obs.ResidentSample(time=index, resident=resident))
-
-    def run_segment(a: int, b: int) -> None:
-        nonlocal r, mem_sum, fault_space, faults
-        cur = a
-        # Ramp phase: below target, each fault grows the residency.
-        while r < target and cur < b:
-            window = d[cur:b] > r
-            hit_run = int(np.argmax(window))
-            if not window[hit_run]:
-                mem_sum += r * (b - cur)
-                return
-            mem_sum += r * hit_run
-            r = min(r + 1, target)
-            mem_sum += r
-            fault_space += r * fault_service
-            faults += 1
-            if tracer is not None:
-                emit_fault(cur + hit_run, r)
-            cur += hit_run + 1
-        if cur < b:
-            # Saturated: residency pinned at the target for the rest.
-            p = prefix(target)
-            seg_faults = int(p[b] - p[cur])
-            faults += seg_faults
-            mem_sum += target * (b - cur)
-            fault_space += target * fault_service * seg_faults
-            if tracer is not None and seg_faults:
-                for index in np.nonzero(d[cur:b] > target)[0]:
-                    emit_fault(cur + int(index), target)
-
-    at = 0
-    for position, new_target, granted, event in _allocation_schedule(
-        trace, config
-    ):
-        position = min(position, n)
-        if position > at:
-            run_segment(at, position)
-            at = position
-        target = new_target
-        if tracer is not None:
-            tracer.emit(
-                obs.AllocateRequest(
-                    time=position,
-                    site=event.site,
-                    requests=tuple(
-                        (q.priority_index, q.pages) for q in event.requests
-                    ),
-                )
-            )
-            tracer.emit(
-                obs.AllocateGrant(
-                    time=position,
-                    site=event.site,
-                    pages=granted.pages,
-                    priority_index=granted.priority_index,
-                    target=new_target,
-                )
-            )
-        if r > target:
-            r = target
-            if tracer is not None:
-                tracer.emit(obs.ResidentSample(time=position, resident=r))
-    if at < n:
-        run_segment(at, n)
+        _emit_events(tracer, trace, schedule, fault_log, clamps)
 
     return SimulationResult(
         policy="CD",
@@ -204,10 +291,60 @@ def simulate_cd_fast(
         page_faults=faults,
         references=n,
         mem_average=mem_sum / n if n else 0.0,
-        space_time=float(mem_sum + fault_space),
+        space_time=float(mem_sum + fault_mem * fault_service),
         parameter=config.pi_cap,
         fault_service=fault_service,
         swaps=0,
         denied_requests=0,
         lock_releases=0,
     )
+
+
+def _emit_events(tracer, trace, schedule: CDSchedule, faults, clamps) -> None:
+    """Replay order: each ALLOCATE's request/grant (and the clamp
+    sample when it shrank the residency) after the faults before its
+    position; each fault as a Fault plus a post-fault sample."""
+    from repro.obs import events as obs
+
+    table = trace.directive_table
+    pages = trace.pages
+    req_off = table.req_offsets.tolist()
+    req_pi = table.req_pi.tolist()
+    req_pages = table.req_pages.tolist()
+    sites = table.site[schedule.rows].tolist()
+    rows = schedule.rows.tolist()
+    granted = schedule.granted.tolist()
+    targets = schedule.targets.tolist()
+    clamped = set(clamps)
+
+    def emit_fault(index: int, resident: int) -> None:
+        tracer.emit(obs.Fault(time=index, page=int(pages[index]), resident=resident))
+        tracer.emit(obs.ResidentSample(time=index, resident=resident))
+
+    fi = 0
+    for e, position in enumerate(schedule.bounds[1:-1].tolist()):
+        while fi < len(faults) and faults[fi][0] < position:
+            emit_fault(*faults[fi])
+            fi += 1
+        a, b = req_off[rows[e]], req_off[rows[e] + 1]
+        tracer.emit(
+            obs.AllocateRequest(
+                time=position,
+                site=sites[e],
+                requests=tuple(zip(req_pi[a:b], req_pages[a:b])),
+            )
+        )
+        g = granted[e]
+        tracer.emit(
+            obs.AllocateGrant(
+                time=position,
+                site=sites[e],
+                pages=req_pages[g],
+                priority_index=req_pi[g],
+                target=targets[e + 1],
+            )
+        )
+        if e in clamped:
+            tracer.emit(obs.ResidentSample(time=position, resident=targets[e + 1]))
+    for fault in faults[fi:]:
+        emit_fault(*fault)

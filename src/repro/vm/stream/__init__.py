@@ -25,7 +25,6 @@ from repro.vm.stream.engine import (
     StreamEngine,
     StreamFallback,
     StreamRequest,
-    cd_streamable,
     stream_simulate,
 )
 from repro.vm.stream.kernels import (
@@ -45,7 +44,6 @@ __all__ = [
     "StreamEngine",
     "StreamFallback",
     "StreamRequest",
-    "cd_streamable",
     "stream_simulate",
     "BackendUnavailable",
     "ChunkScan",

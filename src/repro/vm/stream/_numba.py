@@ -195,10 +195,7 @@ def _cd_chunk(
 class _JitState:
     """One policy's carried native-kernel state."""
 
-    def __init__(self, request, src, fault_service):
-        from repro.vm.fastsim import _allocation_schedule
-        from repro.vm.stream.engine import _DirectiveHolder
-
+    def __init__(self, request, src, fault_service, schedule):
         self.request = request
         self.program = src.program_name
         self.fault_service = fault_service
@@ -222,16 +219,8 @@ class _JitState:
             self.last_ref = np.full(V, -1, dtype=np.int64)
             self.state = np.zeros(1, dtype=np.int64)
         elif kind == "CD":
-            schedule = _allocation_schedule(
-                _DirectiveHolder(src.directives), request.config
-            )
-            self.positions = np.asarray(
-                [min(p, src.length) for p, _t, _g, _e in schedule],
-                dtype=np.int64,
-            )
-            self.targets = np.asarray(
-                [t for _p, t, _g, _e in schedule], dtype=np.int64
-            )
+            self.positions = np.ascontiguousarray(schedule.bounds[1:-1])
+            self.targets = np.ascontiguousarray(schedule.targets[1:])
             self.state = np.asarray(
                 [0, 0, request.config.min_allocation], dtype=np.int64
             )
@@ -274,7 +263,7 @@ class _JitState:
         )
 
 
-def run(engine, src) -> List[SimulationResult]:
+def run(engine, src, schedules) -> List[SimulationResult]:
     """Replay ``engine.requests`` over ``src`` with the jitted kernels.
 
     Each policy consumes the raw chunks natively; the shared numpy scan
@@ -282,7 +271,9 @@ def run(engine, src) -> List[SimulationResult]:
     own cross-chunk state in page-space arrays).
     """
     states = [
-        _JitState(request, src, engine.fault_service)
+        _JitState(
+            request, src, engine.fault_service, schedules.get(request.config)
+        )
         for request in engine.requests
     ]
     for chunk in src.chunks():

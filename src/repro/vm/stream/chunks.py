@@ -1,8 +1,9 @@
 """Chunked trace protocol: bounded-memory iteration over page strings.
 
 A *chunk source* is anything the streaming engine can replay: it
-exposes the trace metadata (length, page space, directives, program
-name) and yields ``TraceChunk`` views of the page string in order.
+exposes the trace metadata (length, page space, ``directive_table``,
+program name) and yields ``TraceChunk`` views of the page string in
+order.
 Two sources ship here:
 
 * :class:`TraceChunks` adapts an in-RAM :class:`ReferenceTrace`
@@ -19,11 +20,11 @@ cross-chunk state (last occurrences, policy state machines) so any
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from repro.tracegen.events import DirectiveEvent, ReferenceTrace
+from repro.tracegen.events import DirectiveTable, ReferenceTrace
 
 #: default references per chunk: large enough to amortize kernel
 #: overheads, small enough to keep the scan tables cache-friendly
@@ -71,8 +72,8 @@ class TraceChunks:
         return self.trace.length
 
     @property
-    def directives(self) -> Sequence[DirectiveEvent]:
-        return self.trace.directives
+    def directive_table(self) -> DirectiveTable:
+        return self.trace.directive_table
 
     def chunks(self) -> Iterator[TraceChunk]:
         pages = self.trace.pages
@@ -105,7 +106,3 @@ def as_chunk_source(source, chunk_size: int = None):
         "ReferenceTrace, a sharded trace, or a chunk source"
     )
 
-
-def directive_positions(directives: List[DirectiveEvent]) -> np.ndarray:
-    """Directive positions as an int64 array (for boundary bookkeeping)."""
-    return np.asarray([d.position for d in directives], dtype=np.int64)

@@ -46,8 +46,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.tracegen.events import DirectiveEvent, DirectiveKind
-from repro.vm.fastsim import _allocation_schedule
+from repro.vm.fastsim import cd_schedule
 from repro.vm.metrics import FAULT_SERVICE_REFERENCES, SimulationResult
 from repro.vm.policies.cd import CDConfig
 from repro.vm.stream.chunks import as_chunk_source
@@ -103,20 +102,6 @@ class StreamRequest:
 
     def label(self) -> str:
         return f"{self.kind}({self.parameter()})"
-
-
-def cd_streamable(
-    config: CDConfig, directives: Sequence[DirectiveEvent]
-) -> bool:
-    """Mirror of :func:`repro.vm.fastsim.cd_fast_applicable` that works
-    from a chunk source's metadata (no materialized trace needed)."""
-    if config.memory_limit is not None:
-        return False
-    if config.honor_locks and any(
-        d.kind is DirectiveKind.LOCK for d in directives
-    ):
-        return False
-    return True
 
 
 class _Base:
@@ -400,17 +385,16 @@ class _WSState(_Base):
 class _CDState(_Base):
     RAMP_BATCH = 1024
 
-    def __init__(
-        self, request, program, fault_service, collect_faults, directives, length
-    ):
+    def __init__(self, request, program, fault_service, collect_faults, schedule):
         super().__init__(request, program, fault_service, collect_faults)
-        config = request.config
-        holder = _DirectiveHolder(directives)
-        self.schedule = _allocation_schedule(holder, config)
-        self.length = length
+        # (position, new target) per ALLOCATE, positions clamped to the
+        # string length
+        self.schedule = list(
+            zip(schedule.bounds[1:-1].tolist(), schedule.targets[1:].tolist())
+        )
         self.next_event = 0
         self.resident = 0  # r: depth of the LRU-stack prefix held
-        self.target = config.min_allocation
+        self.target = request.config.min_allocation
         self._fpos: List[int] = []
         self._fres: List[int] = []
 
@@ -420,10 +404,7 @@ class _CDState(_Base):
         base, hi = scan.base, scan.base + scan.n
         at = base
         while self.next_event < len(self.schedule):
-            position, new_target, _granted, _event = self.schedule[
-                self.next_event
-            ]
-            position = min(position, self.length)
+            position, new_target = self.schedule[self.next_event]
             if position > hi:
                 break
             if new_target == self.target:
@@ -449,10 +430,12 @@ class _CDState(_Base):
     def _segment(self, scan: ChunkScan, a: int, b: int) -> None:
         """Stream one directive segment slice [a, b) (global positions).
 
-        Mirrors ``fastsim.run_segment``: candidates are the references
-        that could possibly fault at the entry residency (cold or gap
-        beyond it — gap bounds the stack distance, and the residency
-        only grows inside a segment, so everything else is a hit)."""
+        Same recurrence as :func:`repro.vm.fastsim.replay_cd` (ramp,
+        then saturated), without whole-trace distances: candidates are
+        the references that could possibly fault at the entry
+        residency (cold or gap beyond it — gap bounds the stack
+        distance, and the residency only grows inside a segment, so
+        everything else is a hit)."""
         base = scan.base
         al, bl = a - base, b - base
         r, target = self.resident, self.target
@@ -550,19 +533,12 @@ class _CDState(_Base):
         # drain trailing directives (target updates after the last
         # reference change no metric, but keep the schedule consistent)
         while self.next_event < len(self.schedule):
-            _, new_target, _g, _e = self.schedule[self.next_event]
+            _, new_target = self.schedule[self.next_event]
             self.target = new_target
             if self.resident > self.target:
                 self.resident = self.target
             self.next_event += 1
         return super().finalize(n)
-
-
-class _DirectiveHolder:
-    """Minimal trace stand-in for ``_allocation_schedule``."""
-
-    def __init__(self, directives):
-        self.directives = list(directives)
 
 
 class StreamEngine:
@@ -598,25 +574,27 @@ class StreamEngine:
 
     def run(self, source) -> List[SimulationResult]:
         src = as_chunk_source(source, self.chunk_size)
-        directives = list(src.directives)
+        schedules = {}
         for request in self.requests:
-            if request.kind == "CD" and not cd_streamable(
-                request.config, directives
-            ):
+            if request.kind != "CD" or request.config in schedules:
+                continue
+            schedule = cd_schedule(src.directive_table, request.config, src.length)
+            if schedule is None:
                 raise StreamFallback(
                     f"{request.label()} needs the event-driven simulator "
                     "(memory ceiling or honored LOCK directives)"
                 )
+            schedules[request.config] = schedule
         backend = resolve_backend(self.backend)
         if self.tracer is not None:
             backend = "numpy"
         if backend == "numba":
             from repro.vm.stream import _numba
 
-            return _numba.run(self, src)
-        return self._run_numpy(src)
+            return _numba.run(self, src, schedules)
+        return self._run_numpy(src, schedules)
 
-    def _make_states(self, src, collect):
+    def _make_states(self, src, collect, schedules):
         states = []
         for request in self.requests:
             if request.kind == "LRU":
@@ -648,17 +626,16 @@ class StreamEngine:
                         src.program_name,
                         self.fault_service,
                         collect,
-                        src.directives,
-                        src.length,
+                        schedules[request.config],
                     )
                 )
             else:
                 raise ValueError(f"unknown stream policy {request.kind!r}")
         return states
 
-    def _run_numpy(self, src) -> List[SimulationResult]:
+    def _run_numpy(self, src, schedules) -> List[SimulationResult]:
         collect = self.tracer is not None
-        states = self._make_states(src, collect)
+        states = self._make_states(src, collect, schedules)
         carry = StreamCarry(src.total_pages)
         for chunk in src.chunks():
             scan = ChunkScan(chunk.pages, chunk.base, carry)
@@ -709,11 +686,14 @@ def stream_simulate(
     from repro.tracegen.events import ReferenceTrace
 
     requests = list(requests)
+    src = as_chunk_source(source, chunk_size)
     engine_requests = []
     fallback = {}
     for index, request in enumerate(requests):
-        if request.kind == "CD" and not cd_streamable(
-            request.config, list(getattr(source, "directives", []))
+        if (
+            request.kind == "CD"
+            and cd_schedule(src.directive_table, request.config, src.length)
+            is None
         ):
             fallback[index] = request
         else:

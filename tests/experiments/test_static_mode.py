@@ -11,7 +11,7 @@ from repro.analysis.staticloc.artifacts import (
     static_artifacts_for,
 )
 from repro.cli import main
-from repro.experiments.runner import STATS, clear_cache
+from repro.experiments.runner import STATS, cache_info, clear_cache
 from repro.experiments.table2 import generate_table2, render_table2
 
 
@@ -139,6 +139,14 @@ class TestStaticDiskCache:
         assert loaded.ws._min_st_cache is None  # guard refused the seed
         # ...and the search still returns the right answer from scratch.
         assert loaded.ws.min_space_time().space_time > 0
+
+    def test_cache_info_counts_static_entries(self, fresh_cache, capsys):
+        before = cache_info()["disk_entries"]
+        static_artifacts_for("FIELD")
+        assert cache_info()["disk_entries"] == before + 1
+        assert main(["cache", "clear"]) == 0
+        assert f"removed {before + 1} cached" in capsys.readouterr().out
+        assert cache_info()["disk_entries"] == 0
 
     def test_clear_static_cache_leaves_other_modes(self, fresh_cache):
         from repro.analysis.symbolic.artifacts import symbolic_artifacts_for

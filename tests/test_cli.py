@@ -1,5 +1,8 @@
 """CLI smoke tests (exercising the same paths a user would)."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,6 +132,28 @@ class TestTable:
     def test_unknown_table(self):
         with pytest.raises(SystemExit):
             main(["table", "9"])
+
+    def test_table_does_not_import_the_engine(self):
+        # the registry lives in repro.experiments: rendering a table in
+        # a fresh interpreter must not load the sweep engine
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "assert main(['table', '1']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.engine')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "MAIN3" in done.stdout
+        assert done.stdout.strip().splitlines()[-1] == "[]"
 
     def test_stats_to_stderr(self, capsys):
         assert main(["table", "1", "--stats"]) == 0
