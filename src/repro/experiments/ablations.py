@@ -22,14 +22,14 @@ from typing import List, Optional
 from repro.analysis.locality import SizingStrategy
 from repro.experiments.report import format_table
 from repro.experiments.runner import artifacts_for
+from repro.vm.analyzers import previous_occurrences
+from repro.vm.fastsim import simulate_opt_fast, simulate_pff_fast
 from repro.vm.metrics import SimulationResult
 from repro.vm.policies import (
     AdaptiveCDPolicy,
     CDConfig,
     ClockPolicy,
     DampedWorkingSetPolicy,
-    OPTPolicy,
-    PFFPolicy,
     SampledWorkingSetPolicy,
     VariableSampledWorkingSetPolicy,
     WorkingSetPolicy,
@@ -58,8 +58,9 @@ def policy_zoo(
 
     The streamable policies (LRU, FIFO, WS) come from one shared scan
     of the trace (:meth:`WorkloadArtifacts.policy_results`) instead of
-    one event-driven replay each; CLOCK and OPT keep the event-driven
-    path (reference-bit state and future knowledge don't stream).
+    one event-driven replay each; OPT and PFF replay fault to fault
+    (:mod:`repro.vm.fastsim`); CLOCK keeps the event-driven path (its
+    reference bits change on every hit).
     """
     from repro.vm.stream import StreamRequest
 
@@ -78,7 +79,7 @@ def policy_zoo(
             ]
         )
         clock = simulate(trace, ClockPolicy(frames=frames))
-        opt = simulate(trace, OPTPolicy(frames=frames))
+        opt = simulate_opt_fast(trace, frames)
         pff = _pff_at_mem(trace, cd.mem_average)
         rows.append(
             ZooRow(
@@ -100,8 +101,10 @@ def _pff_at_mem(trace, mem_target: float) -> SimulationResult:
     """PFF result whose average memory best matches ``mem_target``.
 
     PFF's memory grows with its threshold; a coarse geometric search
-    plus one refinement picks the closest threshold.
+    plus one refinement picks the closest threshold.  Every candidate
+    replays fault to fault over one shared previous-occurrence array.
     """
+    prev = previous_occurrences(trace)
     best: Optional[SimulationResult] = None
     threshold = 1
     candidates = []
@@ -109,7 +112,7 @@ def _pff_at_mem(trace, mem_target: float) -> SimulationResult:
         candidates.append(threshold)
         threshold *= 4
     for t in candidates:
-        result = simulate(trace, PFFPolicy(threshold=t))
+        result = simulate_pff_fast(trace, t, prev=prev)
         if best is None or abs(result.mem_average - mem_target) < abs(
             best.mem_average - mem_target
         ):
@@ -119,7 +122,7 @@ def _pff_at_mem(trace, mem_target: float) -> SimulationResult:
     for t in (base // 2, base * 2, max(1, base * 3 // 2)):
         if t < 1:
             continue
-        result = simulate(trace, PFFPolicy(threshold=t))
+        result = simulate_pff_fast(trace, t, prev=prev)
         if abs(result.mem_average - mem_target) < abs(
             best.mem_average - mem_target
         ):

@@ -6,8 +6,9 @@ identified by the ``check`` field of a :class:`Divergence`):
 * ``trace-*`` — the affine trace compiler against the pure interpreter
   (element-for-element pages, directive events, truncation), plus the
   frontend parse → unparse → parse round-trip;
-* ``metric-*`` — the closed-form CD replay and the one-pass LRU/WS
-  analyzers against the event-driven simulator;
+* ``metric-*`` — the closed-form CD replay, the fault-to-fault PFF and
+  OPT replays and the one-pass LRU/WS analyzers against the
+  event-driven simulator;
 * ``invariant-*`` — policy laws that hold independently of any fast
   path: the LRU inclusion property across memory sizes, WS window
   contents, CD's LRU-prefix residency, and CD lock bookkeeping
@@ -50,8 +51,15 @@ from repro.frontend.unparse import unparse_program
 from repro.tracegen.events import DirectiveKind, ReferenceTrace
 from repro.tracegen.interpreter import generate_trace
 from repro.vm import fastsim
-from repro.vm.analyzers import LRUSweep, WSSweep
-from repro.vm.policies import CDConfig, CDPolicy, LRUPolicy, WorkingSetPolicy
+from repro.vm.analyzers import LRUSweep, WSSweep, previous_occurrences
+from repro.vm.policies import (
+    CDConfig,
+    CDPolicy,
+    LRUPolicy,
+    OPTPolicy,
+    PFFPolicy,
+    WorkingSetPolicy,
+)
 from repro.vm.simulator import simulate
 
 __all__ = [
@@ -220,8 +228,19 @@ def _tau_samples(n: int) -> List[int]:
     return sorted({1, 2, 5, 13, max(1, n // 3), max(1, n // 2), n + 5})
 
 
+def _pff_samples(n: int) -> List[int]:
+    """T=1 (every fault shrinks), a mid threshold, and one past the
+    string (no fault ever shrinks after the first)."""
+    return sorted({1, max(2, n // 8), n + 1})
+
+
+def _opt_samples(v: int) -> List[int]:
+    return sorted({1, max(2, v // 2), v})
+
+
 def check_metrics(trace: ReferenceTrace, label: str) -> List[Divergence]:
-    """Analyzers and closed-form CD vs the event-driven simulator."""
+    """Analyzers and the fast replays (closed-form CD, fault-to-fault
+    PFF and OPT) vs the event-driven simulator."""
     out: List[Divergence] = []
     n = len(trace.pages)
     lru = LRUSweep(trace)
@@ -278,6 +297,29 @@ def check_metrics(trace: ReferenceTrace, label: str) -> List[Divergence]:
                 Divergence(
                     "metric-cd",
                     f"{label}: {config.label()}: fast "
+                    f"{_result_fields(fast)} vs simulator {_result_fields(slow)}",
+                )
+            )
+    prev = previous_occurrences(trace)
+    for threshold in _pff_samples(n):
+        fast = fastsim.simulate_pff_fast(trace, threshold, prev=prev)
+        slow = simulate(trace, PFFPolicy(threshold=threshold))
+        if _result_fields(fast) != _result_fields(slow):
+            out.append(
+                Divergence(
+                    "metric-pff",
+                    f"{label}: T={threshold}: fast "
+                    f"{_result_fields(fast)} vs simulator {_result_fields(slow)}",
+                )
+            )
+    for frames in _opt_samples(max(lru.max_useful_frames, 1)):
+        fast = fastsim.simulate_opt_fast(trace, frames)
+        slow = simulate(trace, OPTPolicy(frames=frames))
+        if _result_fields(fast) != _result_fields(slow):
+            out.append(
+                Divergence(
+                    "metric-opt",
+                    f"{label}: frames={frames}: fast "
                     f"{_result_fields(fast)} vs simulator {_result_fields(slow)}",
                 )
             )

@@ -58,15 +58,31 @@ def previous_occurrences(trace_or_pages: PagesLike) -> np.ndarray:
     pool scheduler leans on exactly that identity.
     """
     pages = _as_pages(trace_or_pages)
-    n = len(pages)
-    prev = np.full(n, -1, dtype=np.int64)
-    if n:
-        idx = np.arange(n, dtype=np.int64)
-        order = np.lexsort((idx, pages))
-        po = idx[order]
-        same = pages[order][1:] == pages[order][:-1]
-        prev[po[1:][same]] = po[:-1][same]
+    prev = np.full(len(pages), -1, dtype=np.int64)
+    earlier, later = _successive_occurrences(pages)
+    prev[later] = earlier
     return prev
+
+
+def next_occurrences(trace_or_pages: PagesLike) -> np.ndarray:
+    """``next_use[t]``: index of the next reference to ``pages[t]``
+    (``len(pages)`` when it is never referenced again) — the future
+    knowledge Belady's OPT evicts by."""
+    pages = _as_pages(trace_or_pages)
+    following = np.full(len(pages), len(pages), dtype=np.int64)
+    earlier, later = _successive_occurrences(pages)
+    following[earlier] = later
+    return following
+
+
+def _successive_occurrences(pages: np.ndarray):
+    """Every pair of consecutive references to one page, as parallel
+    ``(earlier, later)`` index arrays, from one stable sort."""
+    idx = np.arange(len(pages), dtype=np.int64)
+    order = np.lexsort((idx, pages))
+    po = idx[order]
+    same = pages[order][1:] == pages[order][:-1]
+    return po[:-1][same], po[1:][same]
 
 
 class LRUSweep:

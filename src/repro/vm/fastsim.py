@@ -1,13 +1,19 @@
-"""Closed-form CD replay for the uniprogrammed, lock-free case.
+"""Exact fast replays: closed-form CD, fault-to-fault PFF and OPT.
 
-The paper's main experiments run CD with no physical-memory ceiling and
-no LOCK directives.  Under those conditions the policy degenerates to
-*LRU with a piecewise-constant allocation target*: the resident set is
-always the top ``r`` entries of the global LRU stack, where ``r`` grows
-by one per fault up to the current target and is clamped down whenever
-an ALLOCATE grants less.  A reference faults iff its LRU stack distance
-exceeds the current ``r`` — and stack distances are computed once per
-trace (shared with :class:`~repro.vm.analyzers.LRUSweep`).
+Each replay here reproduces, number for number, driving the matching
+event-driven policy through :func:`~repro.vm.simulator.simulate`
+(asserted by the test suite and the oracle's ``metric-*`` checks); the
+event-driven pairs remain the reference implementation.
+
+**CD** (:func:`simulate_cd_fast`).  The paper's main experiments run CD
+with no physical-memory ceiling and no LOCK directives.  Under those
+conditions the policy degenerates to *LRU with a piecewise-constant
+allocation target*: the resident set is always the top ``r`` entries of
+the global LRU stack, where ``r`` grows by one per fault up to the
+current target and is clamped down whenever an ALLOCATE grants less.  A
+reference faults iff its LRU stack distance exceeds the current ``r`` —
+and stack distances are computed once per trace (shared with
+:class:`~repro.vm.analyzers.LRUSweep`).
 
 The replay is one kernel, :func:`replay_cd`, over the *segments*
 between ALLOCATEs.  :func:`cd_schedule` builds the segments from the
@@ -22,23 +28,29 @@ ALLOCATE that raises the target): each fault there raises ``r`` by one
 until the target is reached, and the rest of the segment is again
 arithmetic.  The structure walk of the trace-free tiers
 (:mod:`repro.analysis.symbolic.cd`) runs the same kernel with its own
-ramp step.
+ramp step.  The event-driven CD handles the general case (memory
+ceilings, LOCK pinning).
 
-Every number produced here is exactly equal to driving
-:class:`~repro.vm.policies.cd.CDPolicy` through
-:func:`~repro.vm.simulator.simulate` (asserted by the test suite); the
-event-driven pair remains the reference implementation and handles the
-general case (memory ceilings, LOCK pinning).
+With a ``tracer`` the CD replay *synthesizes* the observability events
+the event-driven path would emit — one :class:`~repro.obs.Fault` per
+fault (with page identity and post-fault residency), ALLOCATE
+request/grant events from the directive schedule, and resident-set
+samples at each point the (piecewise constant) residency changes — so
+timelines taken on the fast path stay comparable with the reference
+simulator: fault counts and positions match exactly.  Per-eviction
+events are not synthesized (recovering victim identity would need the
+full LRU stack); use the event-driven simulator when eviction order
+matters.
 
-With a ``tracer`` the replay *synthesizes* the observability events the
-event-driven path would emit — one :class:`~repro.obs.Fault` per fault
-(with page identity and post-fault residency), ALLOCATE request/grant
-events from the directive schedule, and resident-set samples at each
-point the (piecewise constant) residency changes — so timelines taken
-on the fast path stay comparable with the reference simulator: fault
-counts and positions match exactly.  Per-eviction events are not
-synthesized (recovering victim identity would need the full LRU stack);
-use the event-driven simulator when eviction order matters.
+**PFF and OPT** (:func:`simulate_pff_fast`, :func:`simulate_opt_fast`)
+move from fault to fault: the resident set is fixed between faults, so
+the next fault is the first reference outside it, found by a short
+scalar look-ahead and then widening vectorized windows.  Both reduce to
+every reference's previous or next occurrence
+(:func:`~repro.vm.analyzers.previous_occurrences`,
+:func:`~repro.vm.analyzers.next_occurrences`), the reuse-interval view
+of the string.  Neither takes a tracer; traced replays use the
+event-driven policies.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.tracegen.events import ALLOCATE_CODE, DirectiveTable, ReferenceTrace
+from repro.vm.analyzers import LRUSweep, next_occurrences, previous_occurrences
 from repro.vm.metrics import FAULT_SERVICE_REFERENCES, SimulationResult
 from repro.vm.policies.cd import CDConfig
 
@@ -128,14 +141,22 @@ def prefix_sum(values: np.ndarray, weights: Optional[np.ndarray] = None) -> np.n
 
 
 def first_above(values: np.ndarray, lo: int, hi: int, r: int) -> int:
-    """Smallest ``j`` in ``[lo, hi)`` with ``values[j] > r``, else -1.
+    """Smallest ``j`` in ``[lo, hi)`` with ``values[j] > r``, else -1."""
+    return first_where(values, lo, hi, lambda window: window > r)
+
+
+def first_where(
+    values: np.ndarray, lo: int, hi: int, test: Callable[[np.ndarray], np.ndarray]
+) -> int:
+    """Smallest ``j`` in ``[lo, hi)`` where ``test`` (applied to a slice
+    of ``values``) is True, else -1.
 
     Scans geometrically growing windows, so a hit near ``lo`` costs a
     small comparison however long the range is."""
     width = 32
     while lo < hi:
         stop = min(hi, lo + width)
-        window = values[lo:stop] > r
+        window = test(values[lo:stop])
         k = int(window.argmax())
         if window[k]:
             return lo + k
@@ -232,8 +253,6 @@ def simulate_cd_fast(
     if schedule is None:
         raise ValueError("trace/config requires the event-driven simulator")
     if distances is None:
-        from repro.vm.analyzers import LRUSweep
-
         distances = LRUSweep(trace)._distances
     d = distances
     bounds, targets = schedule.bounds, schedule.targets
@@ -285,18 +304,8 @@ def simulate_cd_fast(
     if tracer is not None:
         _emit_events(tracer, trace, schedule, fault_log, clamps)
 
-    return SimulationResult(
-        policy="CD",
-        program=trace.program_name,
-        page_faults=faults,
-        references=n,
-        mem_average=mem_sum / n if n else 0.0,
-        space_time=float(mem_sum + fault_mem * fault_service),
-        parameter=config.pi_cap,
-        fault_service=fault_service,
-        swaps=0,
-        denied_requests=0,
-        lock_releases=0,
+    return _fast_result(
+        "CD", trace, config.pi_cap, faults, mem_sum, fault_mem, fault_service
     )
 
 
@@ -348,3 +357,166 @@ def _emit_events(tracer, trace, schedule: CDSchedule, faults, clamps) -> None:
             tracer.emit(obs.ResidentSample(time=position, resident=targets[e + 1]))
     for fault in faults[fi:]:
         emit_fault(*fault)
+
+
+#: references a fault-to-fault replay tests one by one before it scans
+#: in vectorized windows: dense faults (PFF at T=1 faults on most
+#: references) must not pay a numpy call each
+_LOOKAHEAD = 32
+
+
+def simulate_pff_fast(
+    trace: ReferenceTrace,
+    threshold: int,
+    prev: Optional[np.ndarray] = None,
+) -> SimulationResult:
+    """Replay ``trace`` under PFF with ``threshold``, fault to fault.
+
+    After a *shrinking* fault at ``t`` (at least ``threshold`` since the
+    last fault ``L``) :class:`~repro.vm.policies.pff.PFFPolicy` holds
+    exactly the pages referenced in ``[L, t]``, and until the next
+    shrink every reference adds its page.  So with ``W`` the fault
+    before the latest shrinking fault (0 before the first), reference
+    ``t`` faults iff ``prev[t] < W``.  The resident size is constant
+    between faults: it rises by one at a growing fault and becomes the
+    number of distinct pages in ``[L, t]`` — the ``j`` there with
+    ``prev[j] < L`` — at a shrinking one.
+
+    ``prev`` is :func:`~repro.vm.analyzers.previous_occurrences` of the
+    trace; pass it to share one array across thresholds.
+    """
+    if threshold < 1:
+        raise ValueError("the PFF threshold must be at least 1")
+    n = len(trace.pages)
+    if prev is None:
+        prev = previous_occurrences(trace)
+    view = memoryview(prev)
+    faults = mem_sum = fault_mem = 0
+    size = 0
+    window = 0  # W: a reference faults iff its page was last seen before W
+    last = -1  # L, the latest fault (-1: none yet, so the first shrinks)
+    cur = 0
+    while cur < n:
+        t = -1
+        fresh = 0  # references in [cur, t) to pages new since L
+        stop = min(n, cur + _LOOKAHEAD)
+        for j in range(cur, stop):
+            p = view[j]
+            if p < window:
+                t = j
+                break
+            if p < last:
+                fresh += 1
+        else:
+            t = first_where(prev, stop, n, lambda values: values < window)
+            if t >= 0:
+                fresh += int(np.count_nonzero(prev[stop:t] < last))
+        if t < 0:
+            mem_sum += size * (n - cur)
+            break
+        mem_sum += size * (t - cur)
+        if last < 0 or t - last >= threshold:
+            # shrink to the distinct pages of [L, t]: L's, the fresh
+            # ones in between and t's
+            window = max(last, 0)
+            size = fresh + 1 + (last >= 0)
+        else:
+            size += 1
+        last = t
+        faults += 1
+        mem_sum += size
+        fault_mem += size
+        cur = t + 1
+    return _fast_result(
+        "PFF", trace, threshold, faults, mem_sum, fault_mem, FAULT_SERVICE_REFERENCES
+    )
+
+
+def simulate_opt_fast(trace: ReferenceTrace, frames: int) -> SimulationResult:
+    """Replay ``trace`` under Belady's OPT with ``frames``, fault to fault.
+
+    A hit only moves its page's next use forward; the replay keeps,
+    per resident page, the next use of its latest reference and skips
+    runs of hits (updating only each page's last reference in the run).
+    A fault with full frames evicts the resident page used farthest in
+    the future, ties (pages never used again) going to the smallest page
+    id — the ``(-next, page)`` order of
+    :class:`~repro.vm.policies.opt.OPTPolicy`'s heap.  O(frames) work per
+    fault, none per hit.
+    """
+    if frames < 1:
+        raise ValueError("OPT needs at least one frame")
+    pages = trace.pages
+    n = len(pages)
+    next_use = next_occurrences(pages)
+    page_view = memoryview(pages)
+    next_view = memoryview(next_use)
+    is_resident = np.zeros(int(pages.max()) + 1 if n else 0, dtype=bool)
+    resident = {}  # page -> next use of its latest reference
+    faults = mem_sum = fault_mem = 0
+    cur = 0
+    while cur < n:
+        t = -1
+        stop = min(n, cur + _LOOKAHEAD)
+        for j in range(cur, stop):
+            page = page_view[j]
+            if page not in resident:
+                t = j
+                break
+            resident[page] = next_view[j]
+        if t < 0 and stop < n:
+            t = first_where(pages, stop, n, lambda window: ~is_resident[window])
+            end = n if t < 0 else t
+            # a run of hits: each page's latest reference in it is the
+            # one whose next use lies past the run
+            latest = stop + np.flatnonzero(next_use[stop:end] >= end)
+            resident.update(zip(pages[latest].tolist(), next_use[latest].tolist()))
+        size = len(resident)
+        if t < 0:
+            mem_sum += size * (n - cur)
+            break
+        mem_sum += size * (t - cur)
+        if size >= frames:
+            farthest = max(resident.values())
+            if farthest < n:
+                victim = page_view[farthest]
+            else:
+                victim = min(p for p, use in resident.items() if use == n)
+            del resident[victim]
+            is_resident[victim] = False
+        page = page_view[t]
+        resident[page] = next_view[t]
+        is_resident[page] = True
+        size = len(resident)
+        faults += 1
+        mem_sum += size
+        fault_mem += size
+        cur = t + 1
+    return _fast_result(
+        "OPT", trace, frames, faults, mem_sum, fault_mem, FAULT_SERVICE_REFERENCES
+    )
+
+
+def _fast_result(
+    policy: str,
+    trace: ReferenceTrace,
+    parameter: Optional[int],
+    faults: int,
+    mem_sum: int,
+    fault_mem: int,
+    fault_service: int,
+) -> SimulationResult:
+    """The metrics of a replay from its integer sums: Σ residency after
+    each reference and Σ residency at faults (a fast replay takes no
+    swaps, denials or lock releases)."""
+    n = len(trace.pages)
+    return SimulationResult(
+        policy=policy,
+        program=trace.program_name,
+        page_faults=faults,
+        references=n,
+        mem_average=mem_sum / n if n else 0.0,
+        space_time=float(mem_sum + fault_mem * fault_service),
+        parameter=parameter,
+        fault_service=fault_service,
+    )

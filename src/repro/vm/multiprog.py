@@ -38,7 +38,10 @@ Fixed-mix model
   the *swapper* is invoked: the largest other resident process is
   swapped out entirely (its frames freed, the process suspended until
   memory frees up); "The swapper is never invoked by a request whose
-  priority is > 1."
+  priority is > 1."  LOCKed pages ride above the target, as under
+  :class:`~repro.vm.policies.cd.CDPolicy`: a shrinking grant and an
+  UNLOCK shed only unlocked pages, so one process with ample frames
+  replays exactly as uniprogrammed CD.
 * **WS processes** maintain their working sets; load control deactivates
   (swaps out) the process with the largest working set when total
   demand exceeds physical memory — Denning's classical rule.
@@ -87,6 +90,10 @@ class ProcessStats:
         return self.mem_integral / self.references
 
 
+#: ``next_directive`` of a process with nothing left to fire
+_NEVER = 1 << 62
+
+
 class _Process:
     """One program sharing the machine."""
 
@@ -97,14 +104,24 @@ class _Process:
         self.trace = trace
         self.mode = mode
         self.tau = tau
-        self.position = 0  # next reference index
+        #: the reference string, read as Python ints
+        self.pages = memoryview(np.ascontiguousarray(trace.pages))
+        self.length = len(self.pages)
+        #: next reference index — also the process's own (local) time,
+        #: which the WS window counts in
+        self.position = 0
         self.event_index = 0
+        #: position of the next directive to fire (CD processes only)
+        self.next_directive = (
+            trace.directives[0].position
+            if mode == "cd" and trace.directives
+            else _NEVER
+        )
         self.state = ProcessState.READY
         self.wake_time = 0
         self.resident: "OrderedDict[int, None]" = OrderedDict()
         self.target = 1  # CD allocation target
         self.last_ref: Dict[int, int] = {}  # WS: page -> local time
-        self.local_time = 0  # WS window counts this process's own refs
         #: CD soft pins: page -> site, and per-site PJ (for release order)
         self.locked_site_of: Dict[int, int] = {}
         self.site_pages: Dict[int, set] = {}
@@ -113,24 +130,28 @@ class _Process:
 
     @property
     def done(self) -> bool:
-        return self.position >= self.trace.length
+        return self.position >= self.length
 
     @property
     def resident_size(self) -> int:
         return len(self.resident)
 
+    def locked_resident(self) -> int:
+        if not self.locked_site_of:
+            return 0
+        return sum(1 for p in self.resident if p in self.locked_site_of)
+
     def demand(self) -> int:
         """Frames the process currently wants resident."""
         if self.mode == "cd":
-            locked_resident = sum(
-                1 for p in self.resident if p in self.locked_site_of
-            )
-            return max(self.target + locked_resident, 1)
+            return max(self.target + self.locked_resident(), 1)
         return max(self.ws_size(), 1)
 
     def ws_size(self) -> int:
-        boundary = self.local_time - self.tau
-        return sum(1 for t in self.last_ref.values() if t > boundary)
+        """Pages referenced in the last τ references: the simulator
+        expires every older one as the window slides, so ``last_ref``
+        holds exactly the window."""
+        return len(self.last_ref)
 
 
 @dataclass
@@ -167,7 +188,13 @@ class MultiprogResult:
 
 
 class MultiprogSimulator:
-    """Round-robin multiprogramming over a shared frame pool."""
+    """Round-robin multiprogramming over a shared frame pool.
+
+    Bookkeeping is O(1) per reference: a running count of occupied
+    frames, one possible WS expiry per reference (the page referenced
+    exactly τ local references ago), and the position of each process's
+    next directive.
+    """
 
     def __init__(
         self,
@@ -185,6 +212,8 @@ class MultiprogSimulator:
             raise ValueError("need at least one frame per process")
         if quantum < 1:
             raise ValueError("quantum must be positive")
+        if ws_tau < 1:
+            raise ValueError("ws_tau must be positive")
         if sample_interval < 1:
             raise ValueError("sample_interval must be positive")
         self.total_frames = total_frames
@@ -196,6 +225,7 @@ class MultiprogSimulator:
         ]
         self.clock = 0
         self.swaps = 0
+        self._used = 0  # Σ resident over all processes
         self._util_integral = 0.0
         self._util_samples = 0
         #: optional :class:`repro.obs.Tracer`; events carry ``proc``
@@ -206,11 +236,15 @@ class MultiprogSimulator:
 
     @property
     def frames_used(self) -> int:
-        return sum(p.resident_size for p in self.processes)
+        return self._used
 
     @property
     def frames_free(self) -> int:
-        return self.total_frames - self.frames_used
+        return self.total_frames - self._used
+
+    def _evict(self, process: _Process, page: int) -> None:
+        del process.resident[page]
+        self._used -= 1
 
     # -- main loop -----------------------------------------------------------
 
@@ -269,37 +303,64 @@ class MultiprogSimulator:
         self.clock += 1
 
     def _run_quantum(self, process: _Process) -> None:
+        """Run ``process`` for up to a quantum of references: until it
+        faults, finishes or a directive swaps it out."""
+        stats = process.stats
+        resident = process.resident
+        pages = process.pages
+        total = self.total_frames
+        tracer = self.tracer
+        cd = process.mode == "cd"
         for _ in range(self.quantum):
-            if process.done:
-                process.state = ProcessState.DONE
-                process.stats.finish_time = self.clock
-                self._release_all(process)
-                return
-            self._fire_directives(process)
-            if process.state is not ProcessState.READY:
-                return  # a directive swapped us out
-            faulted = self._reference(process)
+            position = process.position
+            if position >= process.length:
+                break
+            if position >= process.next_directive:
+                self._fire_directives(process)
+                if process.state is not ProcessState.READY:
+                    return  # a directive swapped us out
+            page = pages[position]
+            process.position = position + 1
+            stats.references += 1
+            if cd and page in resident:
+                resident.move_to_end(page)
+                faulted = False
+            elif cd:
+                self._cd_fault(process, page)
+                faulted = True
+            else:
+                faulted = self._ws_access(process, page)
+            stats.mem_integral += len(resident)
+            if faulted and tracer is not None:
+                self._emit_fault(process, page)
             self.clock += 1
-            self._sample_utilization()
+            self._util_integral += self._used / total
+            self._util_samples += 1
+            if tracer is not None and self.clock % self.sample_interval == 0:
+                from repro.obs.events import ResidentSample
+
+                tracer.emit(ResidentSample(time=self.clock, resident=self._used))
             if faulted:
-                process.stats.faults += 1
+                stats.faults += 1
                 process.state = ProcessState.BLOCKED
                 process.wake_time = self.clock + self.fault_service
                 return
         if process.done:
             process.state = ProcessState.DONE
-            process.stats.finish_time = self.clock
+            stats.finish_time = self.clock
             self._release_all(process)
 
-    def _sample_utilization(self) -> None:
-        self._util_integral += self.frames_used / self.total_frames
-        self._util_samples += 1
-        if self.tracer is not None and self.clock % self.sample_interval == 0:
-            from repro.obs.events import ResidentSample
+    def _emit_fault(self, process: _Process, page: int) -> None:
+        from repro.obs.events import Fault
 
-            self.tracer.emit(
-                ResidentSample(time=self.clock, resident=self.frames_used)
+        self.tracer.emit(
+            Fault(
+                time=self.clock,
+                page=page,
+                resident=process.resident_size,
+                proc=process.name,
             )
+        )
 
     def _emit_resume(self, process: _Process) -> None:
         if self.tracer is not None:
@@ -309,77 +370,54 @@ class MultiprogSimulator:
 
     # -- referencing -----------------------------------------------------------
 
-    def _reference(self, process: _Process) -> bool:
-        page = int(process.trace.pages[process.position])
-        process.position += 1
-        process.stats.references += 1
-        process.local_time += 1
-        if process.mode == "ws":
-            fault = self._ws_access(process, page)
-        else:
-            fault = self._cd_access(process, page)
-        process.stats.mem_integral += process.resident_size
-        if fault and self.tracer is not None:
-            from repro.obs.events import Fault
-
-            self.tracer.emit(
-                Fault(
-                    time=self.clock,
-                    page=page,
-                    resident=process.resident_size,
-                    proc=process.name,
-                )
-            )
-        return fault
-
-    def _cd_access(self, process: _Process, page: int) -> bool:
-        if page in process.resident:
-            process.resident.move_to_end(page)
-            return False
+    def _cd_fault(self, process: _Process, page: int) -> None:
         self._claim_frame(process, exclude_page=page)
         process.resident[page] = None
+        self._used += 1
         # Stay within the CD allocation target; pinned pages ride above
         # it (the pin is precisely for surviving a denied allocation).
         self._shed_to_target(process, keep=page)
-        return True
 
-    @staticmethod
-    def _shed_to_target(process: _Process, keep: Optional[int] = None) -> None:
-        # LRU-ordered unlocked eviction candidates; the page being
-        # referenced right now is never a candidate.
-        candidates = [
-            p
-            for p in process.resident
-            if p not in process.locked_site_of and p != keep
-        ]
-        unlocked_count = sum(
-            1 for p in process.resident if p not in process.locked_site_of
-        )
-        index = 0
-        while unlocked_count > process.target and index < len(candidates):
-            del process.resident[candidates[index]]
-            index += 1
-            unlocked_count -= 1
+    def _shed_to_target(self, process: _Process, keep: Optional[int] = None) -> None:
+        """Evict LRU unlocked pages until at most ``target`` unlocked
+        pages remain; the page being referenced right now (``keep``)
+        is never a candidate."""
+        resident = process.resident
+        locked = process.locked_site_of
+        excess = len(resident) - process.locked_resident() - process.target
+        if excess <= 0:
+            return
+        victims = []
+        for p in resident:  # LRU -> MRU
+            if p not in locked and p != keep:
+                victims.append(p)
+                if len(victims) == excess:
+                    break
+        for p in victims:
+            del resident[p]
+        self._used -= len(victims)
 
     def _ws_access(self, process: _Process, page: int) -> bool:
-        previous = process.last_ref.get(page)
-        fault = previous is None or (process.local_time - previous) > process.tau
-        process.last_ref[page] = process.local_time
-        # Expire pages that left the window.
-        boundary = process.local_time - process.tau
-        expired = [
-            p
-            for p, t in process.last_ref.items()
-            if t <= boundary and p != page
-        ]
-        for p in expired:
-            del process.last_ref[p]
-            process.resident.pop(p, None)
+        now = process.position  # local time of this reference, from 1
+        last_ref = process.last_ref
+        previous = last_ref.get(page)
+        fault = previous is None or (now - previous) > process.tau
+        last_ref[page] = now
+        # Slide the window: the only page that can leave it is the one
+        # referenced at local time now - τ, unless it was used since.
+        boundary = now - process.tau
+        if boundary > 0:
+            old = process.pages[boundary - 1]
+            if last_ref.get(old) == boundary:
+                del last_ref[old]
+                if old in process.resident:
+                    self._evict(process, old)
         if not fault and page in process.resident:
             process.resident.move_to_end(page)
             return False
         self._claim_frame(process, exclude_page=page)
         process.resident[page] = None
+        self._used += 1
         return True
 
     def _claim_frame(self, process: _Process, exclude_page: int) -> None:
@@ -390,8 +428,7 @@ class MultiprogSimulator:
         # pages were already shed).
         if process.mode == "cd" and process.resident_size >= process.target:
             if process.resident:
-                victim = next(iter(process.resident))
-                del process.resident[victim]
+                self._evict(process, next(iter(process.resident)))
                 return
         # Steal from the process with the largest surplus over demand.
         surplus_holder = max(
@@ -411,7 +448,7 @@ class MultiprogSimulator:
                 None,
             )
             if victim is not None:
-                del surplus_holder.resident[victim]
+                self._evict(surplus_holder, victim)
                 if surplus_holder.mode == "ws":
                     surplus_holder.last_ref.pop(victim, None)
                 return
@@ -419,7 +456,7 @@ class MultiprogSimulator:
         self._load_control(requester=process)
         if self.frames_free <= 0 and process.resident:
             victim = next(iter(process.resident))
-            del process.resident[victim]
+            self._evict(process, victim)
             if process.mode == "ws":
                 process.last_ref.pop(victim, None)
 
@@ -450,6 +487,7 @@ class MultiprogSimulator:
             )
 
     def _release_all(self, process: _Process) -> None:
+        self._used -= len(process.resident)
         process.resident.clear()
         if process.mode == "ws":
             process.last_ref.clear()
@@ -462,8 +500,8 @@ class MultiprogSimulator:
     # -- directives ------------------------------------------------------------
 
     def _fire_directives(self, process: _Process) -> None:
-        if process.mode != "cd":
-            return
+        """Fire every directive due at the process's position (CD only);
+        an ALLOCATE that swaps the process out defers the rest."""
         directives = process.trace.directives
         while (
             process.event_index < len(directives)
@@ -474,11 +512,16 @@ class MultiprogSimulator:
             if event.kind is DirectiveKind.ALLOCATE:
                 self._process_allocate(process, event)
                 if process.state is not ProcessState.READY:
-                    return
+                    break
             elif event.kind is DirectiveKind.LOCK:
                 self._process_lock(process, event)
             elif event.kind is DirectiveKind.UNLOCK:
                 self._process_unlock(process, event)
+        process.next_directive = (
+            directives[process.event_index].position
+            if process.event_index < len(directives)
+            else _NEVER
+        )
 
     @staticmethod
     def _process_lock(process: _Process, event: DirectiveEvent) -> None:
@@ -498,8 +541,7 @@ class MultiprogSimulator:
             process.site_pages[site] = pages
             process.site_pj[site] = event.priority_index
 
-    @staticmethod
-    def _process_unlock(process: _Process, event: DirectiveEvent) -> None:
+    def _process_unlock(self, process: _Process, event: DirectiveEvent) -> None:
         for page in event.lock_pages:
             site = process.locked_site_of.pop(page, None)
             if site is None:
@@ -510,6 +552,8 @@ class MultiprogSimulator:
                 if not site_set:
                     process.site_pages.pop(site, None)
                     process.site_pj.pop(site, None)
+        # Unpinned pages count against the target again.
+        self._shed_to_target(process)
 
     def _process_allocate(self, process: _Process, event: DirectiveEvent) -> None:
         reachable = process.resident_size + self.frames_free
@@ -527,9 +571,8 @@ class MultiprogSimulator:
             reachable = process.resident_size + self.frames_free
             granted = min(innermost.pages, max(reachable, 1))
         process.target = max(granted, 1)
-        while process.resident_size > process.target:
-            victim = next(iter(process.resident))
-            del process.resident[victim]
+        # A shrinking grant evicts LRU unlocked pages; pins ride above it.
+        self._shed_to_target(process)
 
 
 # =====================================================================

@@ -13,6 +13,7 @@ from typing import Dict, List, Set
 
 import numpy as np
 
+from repro.vm.analyzers import next_occurrences
 from repro.vm.policies.base import Policy
 
 
@@ -36,15 +37,7 @@ class OPTPolicy(Policy):
     def prepare(self, pages: np.ndarray) -> None:
         """Precompute, for each position, the next position at which the
         same page is referenced (``len(pages)`` when never again)."""
-        n = len(pages)
-        next_use = np.empty(n, dtype=np.int64)
-        last_seen: Dict[int, int] = {}
-        infinity = n
-        for i in range(n - 1, -1, -1):
-            page = int(pages[i])
-            next_use[i] = last_seen.get(page, infinity)
-            last_seen[page] = i
-        self._next_use = next_use
+        self._next_use = next_occurrences(pages)
         self._prepared = True
 
     def access(self, page: int, time: int) -> bool:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.tracegen.events import ReferenceTrace
 from repro.vm.metrics import FAULT_SERVICE_REFERENCES, SimulationResult
 from repro.vm.policies.base import Policy
@@ -58,14 +60,23 @@ def simulate(
     event_index = 0
     event_count = len(directives)
     if tracer is None:
-        for time in range(total_refs):
-            while (
-                event_index < event_count
-                and directives[event_index].position <= time
-            ):
-                policy.on_directive(directives[event_index])
-                event_index += 1
-            fault = policy.access(int(pages[time]), time)
+        access = policy.access
+        # position of the next directive to fire (past the end: none)
+        due = directives[0].position if event_count else total_refs
+        for time, page in enumerate(memoryview(np.ascontiguousarray(pages))):
+            if time >= due:
+                while (
+                    event_index < event_count
+                    and directives[event_index].position <= time
+                ):
+                    policy.on_directive(directives[event_index])
+                    event_index += 1
+                due = (
+                    directives[event_index].position
+                    if event_index < event_count
+                    else total_refs
+                )
+            fault = access(page, time)
             resident = policy.resident_size
             mem_sum += resident
             if fault:

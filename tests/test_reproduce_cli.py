@@ -1,8 +1,12 @@
 """Tests for the one-shot ``reproduce`` command."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+COMMITTED = Path(__file__).resolve().parents[1] / "results"
 
 EXPECTED_FILES = [
     "table1.txt",
@@ -36,6 +40,12 @@ class TestReproduce:
         for name in EXPECTED_FILES:
             text = (results_dir / name).read_text()
             assert len(text.splitlines()) >= 4, name
+
+    @pytest.mark.parametrize("name", EXPECTED_FILES)
+    def test_matches_committed_results(self, results_dir, name):
+        """Every reproduced file equals the committed one byte for byte."""
+        produced = (results_dir / name).read_bytes()
+        assert produced == (COMMITTED / name).read_bytes(), name
 
     def test_table3_has_all_fourteen_rows(self, results_dir):
         text = (results_dir / "table3.txt").read_text()

@@ -1,8 +1,14 @@
 """Tests for LOCK/UNLOCK handling in the multiprogramming simulator."""
 
+import pytest
+
 from repro.directives.model import AllocateRequest
+from repro.experiments.runner import artifacts_for
 from repro.tracegen.events import DirectiveEvent, DirectiveKind
 from repro.vm.multiprog import MultiprogSimulator
+from repro.vm.policies import CDPolicy
+from repro.vm.simulator import simulate
+from repro.workloads import workload_names
 
 from .conftest import make_trace
 
@@ -118,3 +124,53 @@ class TestLocksInMultiprogramming:
         sim._swap_out(process)
         assert process.locked_site_of == {}
         assert process.resident_size == 0
+
+    def test_shrinking_allocate_keeps_pins(self):
+        # Target 3 holds {9, 0, 1} with 9 pinned; the grant of 1 sheds
+        # the unlocked pages only, so 9's re-reference hits.
+        trace = make_trace(
+            [9, 0, 1, 2, 9],
+            directives=[alloc(0, (2, 3)), lock(1, [9]), alloc(3, (2, 1))],
+        )
+        sim = MultiprogSimulator([("A", trace)], total_frames=8, mode="cd")
+        result = sim.run()
+        assert result.processes[0].faults == 4  # 9, 0, 1, 2 cold only
+        assert result.processes[0].mem_integral == 1 + 2 + 3 + 2 + 2
+
+    def test_unlock_sheds_to_target(self):
+        # Pinned 9 rides above target 1 until the UNLOCK, which sheds it
+        # (the LRU unlocked page) right away, not at the next fault.
+        trace = make_trace(
+            [9, 0, 0, 0],
+            directives=[alloc(0, (2, 1)), lock(1, [9]), unlock(3, [9])],
+        )
+        sim = MultiprogSimulator([("A", trace)], total_frames=8, mode="cd")
+        result = sim.run()
+        assert result.processes[0].mem_integral == 1 + 2 + 2 + 1
+
+
+def _ample_frames(trace) -> int:
+    """Frames that grant every request and never force an eviction."""
+    requests = [
+        r.pages
+        for d in trace.directives
+        if d.kind is DirectiveKind.ALLOCATE
+        for r in d.requests
+    ]
+    return max([trace.distinct_pages, *requests]) + 1
+
+
+@pytest.mark.parametrize("with_locks", [False, True], ids=["bare", "locks"])
+@pytest.mark.parametrize("name", workload_names())
+def test_single_process_mix_matches_cd_policy(name, with_locks):
+    """One process with ample frames is uniprogrammed CD: the fixed mix
+    must fault and occupy memory exactly as ``CDPolicy`` does, pins
+    riding above the target and UNLOCK shedding included."""
+    trace = artifacts_for(name, with_locks=with_locks).trace
+    reference = simulate(trace, CDPolicy())
+    result = MultiprogSimulator(
+        [(name, trace)], total_frames=_ample_frames(trace), mode="cd"
+    ).run()
+    process = result.processes[0]
+    assert process.faults == reference.page_faults
+    assert process.mem_average == reference.mem_average
