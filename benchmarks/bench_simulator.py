@@ -221,73 +221,19 @@ def write_summary(path="BENCH_simulator.json"):
             }
         summary["tables"] = tables
 
-    # Symbolic engine vs the trace-backed path, in-process so python
-    # startup does not drown the comparison.  Three operating points:
-    # trace-mode cold (empty cache — the full tracegen + sweep build),
-    # symbolic cold (empty cache — run-structured generation, verified
-    # collapse, weighted sweeps), and symbolic steady-state (its
-    # cache-keyed operating point: runs/analysis npz on disk, process
-    # memo cleared — the same way the trace path amortizes repeat use).
-    # Every timed run's rows are asserted identical to trace-mode's.
-    from repro.analysis.symbolic.artifacts import (
-        _SYM_CACHE,
-        clear_symbolic_cache,
-    )
-    from repro.experiments.table2 import generate_table2
-
-    with tempfile.TemporaryDirectory() as cache:
-        prior = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = cache
-        try:
-            trace_rows = []
-            sym_rows = []
-
-            def run_trace_cold():
-                clear_cache()
-                trace_rows.append(generate_table2())
-
-            def run_sym_cold():
-                clear_symbolic_cache()
-                sym_rows.append(generate_table2(mode="symbolic"))
-
-            def run_sym_steady():
-                _SYM_CACHE.clear()
-                sym_rows.append(generate_table2(mode="symbolic"))
-
-            cold_trace = _time(run_trace_cold)
-            cold_sym = _time(run_sym_cold)
-            steady_sym = _time(run_sym_steady)
-            rows_identical = bool(trace_rows) and all(
-                rows == trace_rows[0] for rows in trace_rows + sym_rows
-            )
-            summary["symbolic"] = {
-                "table2_trace_cold_wall_sec": round(cold_trace, 3),
-                "table2_symbolic_cold_wall_sec": round(cold_sym, 3),
-                "table2_symbolic_steady_wall_sec": round(steady_sym, 3),
-                "cold_speedup_vs_cold_tracegen": round(
-                    cold_trace / cold_sym, 2
-                ),
-                "steady_speedup_vs_cold_tracegen": round(
-                    cold_trace / steady_sym, 2
-                ),
-                "rows_identical": rows_identical,
-            }
-        finally:
-            clear_cache(disk=False)
-            clear_symbolic_cache(disk=False)
-            if prior is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = prior
-
-    # Static (closed-form) tier vs cold tracegen, same protocol as the
-    # symbolic section: cold (empty cache — affine recovery + partial
-    # evaluation, no flat string ever built) and steady-state (static
-    # npz on disk, process memo cleared).  Rows asserted identical.
+    # Static (closed-form) tier vs the trace-backed path, in-process so
+    # python startup does not drown the comparison.  Three operating
+    # points: trace-mode cold (empty cache — the full tracegen + sweep
+    # build), static cold (empty cache — affine recovery + partial
+    # evaluation, no flat string ever built) and static steady-state
+    # (static npz on disk, process memo cleared — the same way the
+    # trace path amortizes repeat use).  Every timed run's rows are
+    # asserted identical to trace-mode's.
     from repro.analysis.staticloc.artifacts import (
         _STATIC_CACHE,
         clear_static_cache,
     )
+    from repro.experiments.table2 import generate_table2
 
     with tempfile.TemporaryDirectory() as cache:
         prior = os.environ.get("REPRO_CACHE_DIR")

@@ -1,16 +1,13 @@
 """Closed-form static locality analysis.
 
-The symbolic engine (:mod:`repro.analysis.symbolic`) interprets a
-program once, cold, to *detect* periodic runs in the page string it
-just generated.  This package removes that last trace: the static
-engine partially evaluates the program at compile time — loop bounds,
-subscript matrices and directive positions come straight from the AST —
-and derives the run structure of every recipe-tier nest **in closed
-form** from its affine access functions, never materializing the flat
-reference string.  The result is the same weighted surrogate the
-symbolic analyzers consume, so LRU reuse histograms, WS(τ) curves and
-the CD structure walk are bit-identical to both the trace and symbolic
-paths (``repro table 2 --mode static``), at a fraction of the cost.
+The static engine partially evaluates a program at compile time — loop
+bounds, subscript matrices and directive positions come straight from
+the AST — and derives the run structure of every recipe-tier nest **in
+closed form** from its affine access functions, never materializing
+the flat reference string.  The result is the weighted surrogate the
+analyzers of :mod:`repro.analysis.symbolic` consume, so LRU reuse
+histograms, WS(τ) curves and the CD structure walk are bit-identical
+to the trace path (``repro table 2 --mode static``).
 
 Layer map:
 
@@ -19,11 +16,11 @@ Layer map:
 * :mod:`~repro.analysis.staticloc.string` — the virtual reference
   string (:class:`StaticString`) and the piecewise buffer that stands
   in for the interpreter's flat page list;
-* :mod:`~repro.analysis.staticloc.interp` — the static compiler and
-  interpreter subclasses plus :func:`generate_static_string`;
+* :mod:`~repro.analysis.staticloc.interp` — the static compiler (recipe
+  tier included) plus :func:`generate_static_string`;
 * :mod:`~repro.analysis.staticloc.artifacts` — cache-keyed per-workload
   artifacts (:func:`static_artifacts_for`), the ``--mode static`` twin
-  of the trace and symbolic builders.
+  of the trace builder.
 """
 
 from repro.analysis.staticloc.affine import ClosedFormPages, ap_crossings

@@ -1,16 +1,16 @@
 """Static (closed-form) per-workload artifacts.
 
-:func:`static_artifacts_for` is the third drop-in twin of
-:func:`repro.experiments.runner.artifacts_for` (after the symbolic
-builder): same signature, same in-process memo and mode-marked disk
-cache, but generation partially evaluates the program into a
+:func:`static_artifacts_for` is the trace-free twin of
+:func:`repro.experiments.runner.artifacts_for`: same signature, same
+in-process memo and mode-marked disk cache, but generation partially
+evaluates the program into a
 :class:`~repro.analysis.staticloc.string.StaticString` — the flat
 reference string is never materialized, recipe-tier nests contribute
 their run journal in closed form straight from the affine subscripts,
 and the weighted analyzers and CD structure walk run on the surrogate
 built with :meth:`Surrogate.from_parts`.  Every number matches the
-trace-backed and symbolic artifacts exactly (Table 2 produced any of
-the three ways is identical); only the cost differs.
+trace-backed artifacts exactly (Table 2 produced either way is
+identical); only the cost differs.
 
 Two exact fallbacks remain for CD configurations the structure walk
 cannot serve (a memory ceiling, honored LOCKs, or a journal the walk
@@ -107,7 +107,7 @@ class StaticArtifacts:
         self, caps: Tuple[Optional[int], ...] = (None, 2, 1)
     ) -> SimulationResult:
         """Minimum-ST CD run across directive-set choices (PI caps) —
-        same candidates and tie-breaking as the other two builders."""
+        same candidates and tie-breaking as the trace-backed builder."""
         candidates = [self.cd_result(CDConfig(pi_cap=cap)) for cap in caps]
         return min(candidates, key=lambda r: r.space_time)
 

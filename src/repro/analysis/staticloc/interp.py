@@ -1,43 +1,75 @@
 """Static partial evaluation: the run-structured string with no trace.
 
-:class:`StaticCompiler` is the symbolic compiler with one change: every
-committed batch is structured *at commit time* through the interpreter's
-:class:`~repro.analysis.staticloc.string.RunBuffer` instead of being
-appended to a flat list.  Recipe bindings commit
-:class:`~repro.analysis.staticloc.affine.ClosedFormPages` — their run
-journal comes straight from the affine subscript matrices and loop
-bounds, and their page block is never built.  Binder batches structure
-their own materialized block and discard it immediately.  Interpreted
-references stay literal (they carry no provable structure — exactly the
-references the symbolic detector would not collapse either).
+:class:`StaticCompiler` is the affine trace compiler
+(:class:`~repro.tracegen.compile.TraceCompiler`) with two changes:
+
+* a **recipe tier** (:mod:`~repro.analysis.symbolic.nests`) — single
+  affine loops matching a strict shape bind arithmetically, without
+  the binder's iteration grids, and commit
+  :class:`~repro.analysis.staticloc.affine.ClosedFormPages`: their run
+  journal comes straight from the affine subscript matrices and loop
+  bounds, and their page block is never built.  A recipe that cannot
+  prove exactness declines and the ordinary binder (then the
+  interpreter) takes over;
+* **structure at commit** — every committed batch goes through the
+  interpreter's :class:`~repro.analysis.staticloc.string.RunBuffer`
+  instead of being appended to a flat list.  Binder batches structure
+  their own materialized block and discard it immediately.
+  Interpreted references stay literal (they carry no provable
+  structure).
 
 ``generate_static_string`` mirrors
-:func:`~repro.analysis.symbolic.interp.generate_runtrace` — same
-arguments, same errors, same directives, the same run journal and kept
-references — but returns a
+:func:`~repro.tracegen.interpreter.generate_trace` — same arguments,
+same errors, same directives — but returns a
 :class:`~repro.analysis.staticloc.string.StaticString`: the complete
 flat reference string is never materialized anywhere in the pipeline.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.parameters import PageConfig
 from repro.analysis.staticloc.string import RunBuffer, StaticString
-from repro.analysis.symbolic.interp import SymbolicCompiler, _period_hints
+from repro.analysis.symbolic.nests import build_recipe
 from repro.directives.model import InstrumentationPlan
 from repro.frontend import ast
 from repro.frontend.symbols import SymbolTable
-from repro.tracegen.compile import _Binder, _Fallback
+from repro.tracegen.compile import TraceCompiler, _Binder, _Fallback, _stmt_ref_exprs
 from repro.tracegen.events import DirectiveTable
 from repro.tracegen.interpreter import Interpreter, _StopExecution, _TraceFull
 
 __all__ = ["StaticCompiler", "generate_static_string"]
 
 
-class StaticCompiler(SymbolicCompiler):
-    """Symbolic compiler committing structure instead of pages.
+def _period_hints(root: ast.DoLoop) -> List[int]:
+    """Candidate periods for a compiled nest: references per iteration
+    of each innermost loop whose body is straight-line (Assign /
+    Continue / Print only — guarded statements make the per-iteration
+    reference count data-dependent)."""
+    hints = set()
+
+    def visit(loop: ast.DoLoop) -> None:
+        inner = [s for s in loop.body if isinstance(s, ast.DoLoop)]
+        for sub in inner:
+            visit(sub)
+        if inner:
+            return
+        if not all(
+            isinstance(s, (ast.Assign, ast.Continue, ast.Print))
+            for s in loop.body
+        ):
+            return
+        refs = sum(len(_stmt_ref_exprs(s)) for s in loop.body)
+        if refs >= 1:
+            hints.add(refs)
+
+    visit(root)
+    return sorted(hints)
+
+
+class StaticCompiler(TraceCompiler):
+    """Trace compiler committing structure instead of pages.
 
     Requires ``interp._refs`` to be a
     :class:`~repro.analysis.staticloc.string.RunBuffer`; every commit is
@@ -45,6 +77,21 @@ class StaticCompiler(SymbolicCompiler):
     batch's event positions) so the buffer can claim runs without any
     global pass.
     """
+
+    def __init__(self, interp) -> None:
+        super().__init__(interp)
+        #: loop_id -> recipe | False (False: structurally refused)
+        self._recipes: dict = {}
+        self.recipe_binds = 0
+
+    def _recipe_for(self, loop: ast.DoLoop):
+        cached = self._recipes.get(loop.loop_id)
+        if cached is None:
+            cached = build_recipe(self, loop)
+            if cached is None:
+                cached = False
+            self._recipes[loop.loop_id] = cached
+        return cached or None
 
     def try_execute(self, loop: ast.DoLoop) -> bool:
         if not self.enabled or not self._static_legal(loop):
@@ -70,10 +117,7 @@ class StaticCompiler(SymbolicCompiler):
         return True
 
     def _commit_structured(self, batch, hints) -> None:
-        buffer = self.it._refs
-        base = len(buffer)
-        self.segments.append((base, base + len(batch.pages), hints))
-        buffer.pending = (hints, [e.position for e in batch.events])
+        self.it._refs.pending = (hints, [e.position for e in batch.events])
         self._commit(batch)
 
 
@@ -88,11 +132,13 @@ def generate_static_string(
 ) -> StaticString:
     """Partially evaluate ``program`` into its run-structured string.
 
-    Kept references, run journal, directives, truncation and errors all
-    match :func:`~repro.analysis.symbolic.interp.generate_runtrace`
-    output exactly (the oracle's ``static-*`` battery asserts it seed by
-    seed); the flat page string is simply never built.  ``stats``
-    additionally receives ``closed_form_references`` — how much of the
+    Length, directives, truncation and errors all match
+    :func:`~repro.tracegen.interpreter.generate_trace` output exactly,
+    and the kept references plus the run journal reproduce its pages
+    (the oracle's ``static-*`` battery asserts it seed by seed); the
+    flat page string is simply never built.  ``stats`` (optional dict)
+    receives coverage counters: recipe/binder/fallback bind counts,
+    run-journal totals and ``closed_form_references`` — how much of the
     string existed only as arithmetic.
     """
     interpreter = Interpreter(
@@ -128,11 +174,10 @@ def generate_static_string(
         runs=runs,
     )
     if stats is not None:
-        compiled_refs = sum(e - s for s, e, _ in compiler.segments)
         stats.update(
             references=n,
-            compiled_segments=len(compiler.segments),
-            compiled_references=compiled_refs,
+            compiled_segments=compiler.compiled_nests,
+            compiled_references=compiler.compiled_refs,
             closed_form_references=buffer.closed_form_refs,
             recipe_binds=compiler.recipe_binds,
             fallback_binds=compiler.fallback_binds,

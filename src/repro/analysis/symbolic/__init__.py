@@ -1,14 +1,15 @@
-"""Trace-free (symbolic) locality engine.
+"""Weighted locality analysis over run-structured strings.
 
-Computes the paper's LRU / WS / CD statistics from a *run-structured*
-trace: the compiled affine nests report their periodic structure, runs
-are verified element-wise, and weighted analyzers reproduce the exact
-analyzers' integer counts from only the collapsed representatives.
+The static tier (:mod:`repro.analysis.staticloc`) journals the
+periodic runs of every compiled affine nest; the modules here turn
+that journal into the paper's LRU / WS / CD statistics: runs are
+verified element-wise (:mod:`~repro.analysis.symbolic.collapse`), and
+weighted analyzers reproduce the exact analyzers' integer counts from
+only the collapsed representatives.
 """
 
 from repro.analysis.symbolic.cd import simulate_cd_symbolic
 from repro.analysis.symbolic.collapse import Surrogate, detect_runs
-from repro.analysis.symbolic.interp import SymbolicCompiler, generate_runtrace
 from repro.analysis.symbolic.locality import SymbolicLRU, SymbolicWS
 from repro.analysis.symbolic.runtrace import Run, RunTrace
 
@@ -16,23 +17,8 @@ __all__ = [
     "Run",
     "RunTrace",
     "Surrogate",
-    "SymbolicArtifacts",
-    "SymbolicCompiler",
     "SymbolicLRU",
     "SymbolicWS",
     "detect_runs",
-    "generate_runtrace",
     "simulate_cd_symbolic",
-    "symbolic_artifacts_for",
 ]
-
-
-def __getattr__(name):
-    # artifacts imports the experiments runner (for the shared cache
-    # dir and STATS); load it lazily to keep `repro.analysis.symbolic`
-    # importable without the experiments package in the cycle.
-    if name in ("SymbolicArtifacts", "symbolic_artifacts_for"):
-        from repro.analysis.symbolic import artifacts
-
-        return getattr(artifacts, name)
-    raise AttributeError(name)

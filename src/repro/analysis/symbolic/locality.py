@@ -21,56 +21,44 @@ references of a :class:`~repro.analysis.symbolic.collapse.Surrogate`:
 Every public method mirrors :class:`~repro.vm.analyzers.LRUSweep` /
 :class:`~repro.vm.analyzers.WSSweep` — same names, same arguments,
 same tie-breaking, bit-identical results (asserted by the
-``symbolic-*`` oracle battery and the property suite).
+``static-*`` oracle battery and the property suite).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from repro.analysis.symbolic.collapse import Surrogate
-from repro.analysis.symbolic.runtrace import RunTrace
 from repro.vm.analyzers import _DENSE_CURVE_LIMIT, LRUSweep
 from repro.vm.metrics import FAULT_SERVICE_REFERENCES, SimulationResult
-
-SourceLike = Union[RunTrace, Surrogate]
 
 __all__ = ["SymbolicLRU", "SymbolicWS"]
 
 
-def _as_surrogate(source: SourceLike) -> Surrogate:
-    if isinstance(source, RunTrace):
-        return Surrogate(source.trace.pages, source.runs)
-    return source
-
-
 class SymbolicLRU:
-    """All-partition-sizes LRU analysis from a run-structured trace."""
+    """All-partition-sizes LRU analysis from a collapsed surrogate."""
 
     def __init__(
         self,
-        source: SourceLike,
+        surrogate: Surrogate,
         program: str = "?",
         fault_service: int = FAULT_SERVICE_REFERENCES,
         inner: Optional[LRUSweep] = None,
     ):
-        if isinstance(source, RunTrace):
-            program = source.trace.program_name
         self.program = program
         self.fault_service = fault_service
-        s = _as_surrogate(source)
-        self.surrogate = s
-        self.n = int(s.n_orig)
+        self.surrogate = surrogate
+        self.n = int(surrogate.n_orig)
         if inner is None:
             inner = LRUSweep(
-                s.kept_pages, program=program, fault_service=fault_service
+                surrogate.kept_pages, program=program, fault_service=fault_service
             )
         #: true stack distance / distinct-so-far of each kept reference
         self._distances = inner._distances
         self._distinct = inner._distinct
-        self._weights = s.weights
+        self._weights = surrogate.weights
         self.max_useful_frames = inner.max_useful_frames
         self._frame_stats_cache = None
 
@@ -204,21 +192,18 @@ class SymbolicLRU:
 
 
 class SymbolicWS:
-    """All-window-sizes Working Set analysis from a run-structured trace."""
+    """All-window-sizes Working Set analysis from a collapsed surrogate."""
 
     def __init__(
         self,
-        source: SourceLike,
+        surrogate: Surrogate,
         program: str = "?",
         fault_service: int = FAULT_SERVICE_REFERENCES,
     ):
-        if isinstance(source, RunTrace):
-            program = source.trace.program_name
         self.program = program
         self.fault_service = fault_service
-        s = _as_surrogate(source)
-        self.surrogate = s
-        self.n = int(s.n_orig)
+        self.surrogate = surrogate
+        self.n = int(surrogate.n_orig)
         self._init_helpers()
         self._cache: Dict[int, SimulationResult] = {}
         self._min_st_cache: Optional[SimulationResult] = None

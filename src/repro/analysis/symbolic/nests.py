@@ -19,7 +19,8 @@ interpretation — non-affine subscripts, loop-carried scalars,
 overlapping array updates, any operation that could raise — declines,
 and the binder (then the interpreter) takes over.  Declining is always
 safe: the recipe touches no interpreter state before returning its
-fully materialized :class:`~repro.tracegen.compile._Batch`.
+:class:`~repro.tracegen.compile._Batch`, whose pages stay in closed
+form (:class:`~repro.analysis.staticloc.affine.ClosedFormPages`).
 """
 
 from __future__ import annotations
@@ -216,33 +217,24 @@ class Recipe:
         self.free_names = free
         self.n_sites = len(sites)
         self.period_hints = [self.n_sites] if self.n_sites else []
-        #: (trips, site APs) -> (pages list, offsets per site)
-        self._page_memo: Dict[tuple, tuple] = {}
-        #: (trips, site APs) -> offsets per site (static binds skip pages)
+        #: (trips, site APs) -> offsets per site
         self._offset_memo: Dict[tuple, list] = {}
 
-    def bind(self, it) -> Optional[_Batch]:
-        """One execution of the loop as a fully materialized batch, or
-        None when this binding is not provably exact."""
+    def bind_static(self, it) -> Optional[_Batch]:
+        """One execution of the loop as a batch whose pages are a
+        :class:`~repro.analysis.staticloc.affine.ClosedFormPages`
+        placeholder — length and run structure in closed form, no
+        per-reference list — or None when this binding is not provably
+        exact.  A truncating binding materializes its capped prefix
+        (truncation is terminal and happens once)."""
         try:
             return self._bind(it)
         except _Decline:
             return None
 
-    def bind_static(self, it) -> Optional[_Batch]:
-        """Like :meth:`bind`, but the batch's pages are a
-        :class:`~repro.analysis.staticloc.affine.ClosedFormPages`
-        placeholder — length and run structure in closed form, no
-        per-reference list.  A truncating binding still materializes
-        its capped prefix (truncation is terminal and happens once)."""
-        try:
-            return self._bind(it, materialize=False)
-        except _Decline:
-            return None
-
     # -- bind-time ----------------------------------------------------------
 
-    def _bind(self, it, materialize: bool = True) -> _Batch:
+    def _bind(self, it) -> _Batch:
         loop = self.loop
         try:
             start = _int_like(it._eval(loop.start))
@@ -298,11 +290,8 @@ class Recipe:
                 dlin = 0
             aps.append((lin0, dlin))
 
-        if materialize:
-            pages_list, offsets = self._pages_for(it, trips, aps)
-        else:
-            offsets = self._offsets_for(trips, aps)
-            pages_list = self._closed_pages(it, trips, aps)
+        offsets = self._offsets_for(trips, aps)
+        pages = self._closed_pages(it, trips, aps)
         env, writer_vals = self._run_values(it, trips, aps, offsets)
 
         base = len(it._refs)
@@ -324,9 +313,9 @@ class Recipe:
                     site=loop.loop_id, lock_pages=(),
                 ))
         if truncated:
-            if not materialize:
-                pages_list = pages_list.materialize().tolist()
-            return _Batch(pages_list[:cap], events, True, nest_ops, {}, [])
+            return _Batch(
+                pages.materialize()[:cap].tolist(), events, True, nest_ops, {}, []
+            )
 
         scalars_out: Dict[str, object] = {}
         for spec in self.specs:
@@ -356,7 +345,7 @@ class Recipe:
                 array_stores.append(
                     (name, omat.T.ravel(), vmat.T.ravel())
                 )
-        return _Batch(pages_list, events, False, nest_ops, scalars_out,
+        return _Batch(pages, events, False, nest_ops, scalars_out,
                       array_stores)
 
     def _tainted(self, it):
@@ -364,7 +353,7 @@ class Recipe:
 
     def _offsets_for(self, trips: int, aps: List[Tuple[int, int]]):
         """Per-site element-offset vectors (the value engine's index
-        space) — shared by the materializing and static binds."""
+        space)."""
         key = (trips, tuple(aps))
         hit = self._offset_memo.get(key)
         if hit is not None:
@@ -386,26 +375,6 @@ class Recipe:
             it.page_config.elements_per_page,
             trips,
         )
-
-    def _pages_for(self, it, trips: int, aps: List[Tuple[int, int]]):
-        key = (trips, tuple(aps))
-        hit = self._page_memo.get(key)
-        if hit is not None:
-            return hit
-        offsets = self._offsets_for(trips, aps)
-        epp = it.page_config.elements_per_page
-        if self.n_sites:
-            mat = np.empty((self.n_sites, trips), dtype=np.int64)
-            for s, ref in enumerate(self.sites):
-                first = it.layout.placements[ref.name].first_page
-                mat[s] = first + offsets[s] // epp
-            pages_list = mat.T.ravel().tolist()
-        else:
-            pages_list = []
-        if len(self._page_memo) > 128:
-            self._page_memo.clear()
-        self._page_memo[key] = (pages_list, offsets)
-        return pages_list, offsets
 
     # -- value engine -------------------------------------------------------
 

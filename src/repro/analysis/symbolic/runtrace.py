@@ -1,16 +1,18 @@
-"""Run-length-structured traces: the symbolic engine's intermediate form.
+"""Run-length-structured strings: the weighted analyzers' input form.
 
-A :class:`RunTrace` is an exact :class:`~repro.tracegen.events.ReferenceTrace`
-plus a *journal* of periodic runs: maximal stretches where the page
-string repeats a block of ``block`` pages ``repeats`` times back to
-back.  The flat trace is authoritative — ``expand()`` simply returns
-it — while the journal is what the weighted analyzers exploit: inside a
-run, every interior copy of the block has the same reuse behaviour as
-its neighbours, so LRU/WS/CD statistics for all ``repeats`` copies
-follow from three representative copies and integer weights.
+A :class:`RunTrace` is a reference string — an exact
+:class:`~repro.tracegen.events.ReferenceTrace` or the static tier's
+:class:`~repro.analysis.staticloc.string.StaticString` — plus a
+*journal* of periodic runs: maximal stretches where the page string
+repeats a block of ``block`` pages ``repeats`` times back to back.
+The journal is what the weighted analyzers exploit: inside a run,
+every interior copy of the block has the same reuse behaviour as its
+neighbours, so LRU/WS/CD statistics for all ``repeats`` copies follow
+from three representative copies and integer weights.
 
-Runs are *verified* at detection time (``pages[s+b:e] == pages[s:e-b]``
-element-wise), so a missed run only costs compression, never exactness.
+Runs are *verified* when they are claimed (``pages[s+b:e] ==
+pages[s:e-b]`` element-wise, or its closed-form equivalent), so a
+missed run only costs compression, never exactness.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ class Run:
 
 @dataclass
 class RunTrace:
-    """An exact reference trace together with its run journal."""
+    """A reference string together with its run journal."""
 
-    trace: ReferenceTrace
+    trace: ReferenceTrace  # or the static tier's duck-typed StaticString
     runs: List[Run]
 
     def __post_init__(self) -> None:
@@ -57,26 +59,3 @@ class RunTrace:
             if run.block < 1 or run.repeats < 2:
                 raise ValueError("degenerate run")
             last_end = run.end
-
-    def expand(self) -> ReferenceTrace:
-        """The exact flat trace (identical to ``generate_trace`` output)."""
-        return self.trace
-
-    @property
-    def length(self) -> int:
-        return int(len(self.trace.pages))
-
-    def compressed_length(self) -> int:
-        """References a weighted analyzer actually looks at: everything
-        outside runs plus three block copies per run."""
-        saved = sum(r.block * (r.repeats - 3) for r in self.runs if r.repeats > 3)
-        return self.length - saved
-
-    def summary(self) -> str:
-        n = self.length
-        kept = self.compressed_length()
-        pct = 100.0 * (1 - kept / n) if n else 0.0
-        return (
-            f"{self.trace.program_name}: {n} refs, {len(self.runs)} runs, "
-            f"{kept} kept ({pct:.1f}% collapsed)"
-        )

@@ -415,16 +415,24 @@ def _cmd_multiprog(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    import os
     import time
 
     from repro.experiments import TABLE_RENDERERS, render_table
-    from repro.experiments.runner import STATS, warm_for_table
+    from repro.experiments.runner import STATS, replay_options, warm_for_table
 
-    if args.timelines:
-        tdir = Path(args.timelines)
-        tdir.mkdir(parents=True, exist_ok=True)
-        os.environ["REPRO_TIMELINES_DIR"] = str(tdir)
+    which = args.which.lower()
+    if which not in TABLE_RENDERERS:
+        raise SystemExit(f"error: unknown table {args.which!r}")
+    if args.mode == "static":
+        if which != "2":
+            raise SystemExit(
+                "error: --mode static currently supports table 2 only"
+            )
+        if args.timelines:
+            raise SystemExit(
+                "error: --timelines needs --mode trace (the static tier "
+                "replays no events)"
+            )
     if args.backend:
         # resolve eagerly so an unavailable backend fails before any work
         from repro.vm.stream import BackendUnavailable, resolve_backend
@@ -434,26 +442,20 @@ def _cmd_table(args) -> int:
         except BackendUnavailable as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
-        os.environ["REPRO_BACKEND"] = args.backend
+    tdir = None
+    if args.timelines:
+        tdir = Path(args.timelines)
+        tdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    which = args.which.lower()
-    if which not in TABLE_RENDERERS:
-        raise SystemExit(f"error: unknown table {args.which!r}")
-    if args.mode in ("symbolic", "static"):
-        if which != "2":
-            raise SystemExit(
-                f"error: --mode {args.mode} currently supports table 2 only"
-            )
-        from repro.experiments.table2 import render_table2
+    with replay_options(timelines=tdir, backend=args.backend):
+        if args.mode == "static":
+            from repro.experiments.table2 import render_table2
 
-        print(render_table2(mode=args.mode))
-        if args.stats:
-            wall = time.perf_counter() - t0
-            print(f"[stats] wall {wall:.2f}s · {STATS.describe()}", file=sys.stderr)
-        return 0
-    if args.jobs and args.jobs > 1:
-        warm_for_table(which, jobs=args.jobs)
-    print(render_table(which))
+            print(render_table2(mode="static"))
+        else:
+            if args.jobs and args.jobs > 1:
+                warm_for_table(which, jobs=args.jobs)
+            print(render_table(which))
     if args.stats:
         wall = time.perf_counter() - t0
         print(f"[stats] wall {wall:.2f}s · {STATS.describe()}", file=sys.stderr)
@@ -960,16 +962,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["numpy", "numba", "auto"],
         default=None,
         help="streaming kernel backend for one-pass replays "
-        "(sets REPRO_BACKEND for the run)",
+        "(overrides REPRO_BACKEND for the run)",
     )
     p.add_argument(
         "--mode",
-        choices=["trace", "symbolic", "static"],
+        choices=["trace", "static"],
         default="trace",
-        help="symbolic: derive the table from the run-structured trace "
-        "via the weighted analyzers (identical rows, no full replay); "
-        "static: derive it from the closed-form static string without "
-        "materializing a trace at all",
+        help="static: derive table 2 from the closed-form static string "
+        "via the weighted analyzers (identical rows, no trace is ever "
+        "materialized)",
     )
     p.set_defaults(func=_cmd_table)
 

@@ -27,6 +27,8 @@ import json
 import os
 import time
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -84,13 +86,41 @@ class StageStats:
 STATS = StageStats()
 
 
+#: ``table --timelines`` / ``--backend`` for the calls made inside
+#: :func:`replay_options`; None defers to the environment
+_TIMELINES: ContextVar[Optional[Path]] = ContextVar("timelines", default=None)
+_BACKEND: ContextVar[Optional[str]] = ContextVar("backend", default=None)
+
+
+@contextmanager
+def replay_options(
+    timelines: Optional[Path] = None, backend: Optional[str] = None
+):
+    """Within the block, CD replays write their timelines under
+    ``timelines`` and one-pass replays use ``backend`` — the ``table
+    --timelines`` and ``--backend`` flags.  Nothing outlives the block
+    (``os.environ`` is never written); None keeps the
+    ``REPRO_TIMELINES_DIR`` / ``REPRO_BACKEND`` behaviour."""
+    timelines_token = _TIMELINES.set(timelines)
+    backend_token = _BACKEND.set(backend)
+    try:
+        yield
+    finally:
+        _BACKEND.reset(backend_token)
+        _TIMELINES.reset(timelines_token)
+
+
 def timelines_dir() -> Optional[Path]:
     """Where per-cell CD event timelines go, or None when disabled.
 
-    Set ``REPRO_TIMELINES_DIR`` (the ``table --timelines`` flag does) to
-    make every :meth:`WorkloadArtifacts.cd_result` call persist its
-    event stream as one JSONL file in that directory.
+    Set ``REPRO_TIMELINES_DIR`` (or run inside :func:`replay_options`,
+    as ``table --timelines`` does) to make every
+    :meth:`WorkloadArtifacts.cd_result` call persist its event stream as
+    one JSONL file in that directory.
     """
+    override = _TIMELINES.get()
+    if override is not None:
+        return override
     env = os.environ.get("REPRO_TIMELINES_DIR")
     return Path(env) if env else None
 
@@ -164,12 +194,17 @@ class WorkloadArtifacts:
         of one full event-driven replay per policy.  Results are exact
         (the oracle's ``stream-*`` checks pin them to the event-driven
         simulator); non-streamable CD requests fall back transparently.
+        ``backend`` defaults to the one :func:`replay_options` set, then
+        to ``REPRO_BACKEND``.
         """
         from repro.vm.stream import stream_simulate
 
         t0 = time.perf_counter()
         results = stream_simulate(
-            self.trace, requests, backend=backend, chunk_size=chunk_size
+            self.trace,
+            requests,
+            backend=backend or _BACKEND.get(),
+            chunk_size=chunk_size,
         )
         STATS.add(
             "simulate",
@@ -233,8 +268,8 @@ def _entry_paths(cdir: Path, key: str) -> Tuple[Path, Path]:
 
 
 #: every cache entry family on disk: trace-mode traces and sweeps, the
-#: symbolic tier's run journals, the static tier's strings
-ENTRY_PATTERNS = ("trace-*.npz", "sweeps-*.npz", "runs-*.npz", "static-*.npz")
+#: static tier's strings
+ENTRY_PATTERNS = ("trace-*.npz", "sweeps-*.npz", "static-*.npz")
 
 
 #: per-process counter making quarantine names unique within one pid

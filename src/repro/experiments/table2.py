@@ -48,19 +48,14 @@ def generate_table2(
     """Compute every row of Table 2.
 
     ``mode="trace"`` replays the full reference trace (the default);
-    ``mode="symbolic"`` derives every cell from the run-structured
-    trace via the weighted analyzers; ``mode="static"`` derives them
-    from the closed-form static string without materializing a trace
-    at all — the rows are identical across all three modes (the test
-    suite asserts row-for-row equality), only the cost differs.
+    ``mode="static"`` derives every cell from the closed-form static
+    string via the weighted analyzers, without materializing a trace
+    at all — the rows are identical in both modes (the test suite
+    asserts row-for-row equality), only the cost differs.
     """
-    if mode not in ("trace", "symbolic", "static"):
+    if mode not in ("trace", "static"):
         raise ValueError(f"unknown table mode {mode!r}")
-    if mode == "symbolic":
-        from repro.analysis.symbolic.artifacts import symbolic_artifacts_for
-
-        builder = symbolic_artifacts_for
-    elif mode == "static":
+    if mode == "static":
         from repro.analysis.staticloc.artifacts import static_artifacts_for
 
         builder = static_artifacts_for

@@ -27,10 +27,10 @@ identified by the ``check`` field of a :class:`Divergence`):
   event-driven replays: metrics (PF, MEM, ST) across chunk sizes, the
   per-fault event stream (time, page, residency), and the sharded
   on-disk round trip;
-* ``symbolic-*`` — the trace-free locality engine: its flat trace, the
-  element-wise-verified run journal, the weighted LRU/WS analyzers,
-  the CD structure walk, and both minimum-space-time searches against
-  the exact references.
+* ``static-*`` — the trace-free locality engine: its run-structured
+  string, the element-wise-verified run journal, the weighted LRU/WS
+  analyzers, the CD structure walk, both minimum-space-time searches
+  and the affine-recovery rewrite against the exact references.
 
 All comparisons are exact — both sides compute in integer or identical
 float arithmetic, so any difference at all is a real divergence.
@@ -68,7 +68,6 @@ __all__ = [
     "check_lint",
     "check_program",
     "check_static",
-    "check_symbolic",
 ]
 
 #: reference cap for generated programs — also exercises truncation
@@ -1090,274 +1089,7 @@ def check_pool_conservation(
     return out
 
 
-# -- check class: symbolic (trace-free) engine equivalence --------------------
-
-
-def check_symbolic(
-    program: ast.Program,
-    plan,
-    trace: Optional[ReferenceTrace],
-    label: str,
-    max_references: int = _MAX_REFERENCES,
-) -> List[Divergence]:
-    """The ``symbolic-*`` battery: the trace-free locality engine
-    against the exact analyzers and simulators, integer for integer.
-
-    * ``symbolic-trace``  — :func:`generate_runtrace`'s flat trace ≡
-      the interpreter's (pages, directives, layout, truncation; when
-      the interpreter raises, the symbolic tier must raise the same
-      error);
-    * ``symbolic-runs``   — every journaled run re-verified
-      element-wise (``b``-periodic, in bounds, sorted and disjoint,
-      never straddling a directive position) and the collapse's kept
-      weights account for every original reference;
-    * ``symbolic-lru`` / ``symbolic-ws`` — the weighted analyzers ≡
-      the exact sweeps at the shared frame/τ samples;
-    * ``symbolic-cd``     — the structure-walk CD replay ≡ the
-      closed-form fast path wherever that applies (the walk must never
-      reject a detector-built journal);
-    * ``symbolic-min-st`` — the full minimum-space-time searches (LRU
-      and WS) return the same result, chosen parameter included.
-    """
-    from repro.analysis.symbolic import (
-        Surrogate,
-        SymbolicLRU,
-        SymbolicWS,
-        generate_runtrace,
-        simulate_cd_symbolic,
-    )
-
-    out: List[Divergence] = []
-    try:
-        runtrace = generate_runtrace(
-            program, plan=plan, max_references=max_references
-        )
-    except Exception as err:
-        runtrace = None
-        sym_error = f"{type(err).__name__}: {err}"
-    if trace is None:
-        # The interpreter raised (the caller only withholds the trace
-        # on error/mismatch); the symbolic tier must raise identically.
-        try:
-            generate_trace(
-                program,
-                plan=plan,
-                compile_nests=False,
-                max_references=max_references,
-            )
-            return out  # caller-side mismatch, already reported
-        except Exception as err:
-            slow_error = f"{type(err).__name__}: {err}"
-        if runtrace is not None:
-            out.append(
-                Divergence(
-                    "symbolic-trace",
-                    f"{label}: interpreter raised {slow_error!r} but the "
-                    "symbolic tier produced a trace",
-                )
-            )
-        elif sym_error != slow_error:
-            out.append(
-                Divergence(
-                    "symbolic-trace",
-                    f"{label}: error mismatch: interpreter {slow_error!r} "
-                    f"vs symbolic {sym_error!r}",
-                )
-            )
-        return out
-    if runtrace is None:
-        out.append(
-            Divergence(
-                "symbolic-trace",
-                f"{label}: symbolic tier raised {sym_error!r} but the "
-                "interpreter produced a trace",
-            )
-        )
-        return out
-
-    sym = runtrace.trace
-    if sym.truncated != trace.truncated:
-        out.append(
-            Divergence(
-                "symbolic-trace",
-                f"{label}: truncated {trace.truncated} vs {sym.truncated}",
-            )
-        )
-    if len(sym.pages) != len(trace.pages):
-        out.append(
-            Divergence(
-                "symbolic-trace",
-                f"{label}: length {len(trace.pages)} vs {len(sym.pages)}",
-            )
-        )
-        return out  # analyzers below would compare different strings
-    diff = np.nonzero(sym.pages != trace.pages)[0]
-    if len(diff):
-        i = int(diff[0])
-        out.append(
-            Divergence(
-                "symbolic-trace",
-                f"{label}: first page mismatch at {i}: "
-                f"{int(trace.pages[i])} vs {int(sym.pages[i])} "
-                f"({len(diff)} total)",
-            )
-        )
-        return out
-    if sym.array_pages != trace.array_pages:
-        out.append(Divergence("symbolic-trace", f"{label}: array layouts differ"))
-    if [
-        (d.position, d.kind, d.site, tuple(d.requests), d.lock_pages)
-        for d in sym.directives
-    ] != [
-        (d.position, d.kind, d.site, tuple(d.requests), d.lock_pages)
-        for d in trace.directives
-    ]:
-        out.append(
-            Divergence("symbolic-trace", f"{label}: directive events differ")
-        )
-
-    # -- the run journal, re-verified from scratch ---------------------------
-    n = len(sym.pages)
-    boundaries = sorted({d.position for d in sym.directives})
-    before_runs = len(out)
-    prev_end = 0
-    for r in runtrace.runs:
-        end = r.start + r.block * r.repeats
-        if r.block < 1 or r.repeats < 2 or r.start < 0 or end > n:
-            out.append(
-                Divergence(
-                    "symbolic-runs",
-                    f"{label}: malformed run {r} (n={n})",
-                )
-            )
-            break
-        if r.start < prev_end:
-            out.append(
-                Divergence(
-                    "symbolic-runs",
-                    f"{label}: run {r} overlaps the previous run "
-                    f"(ends at {prev_end})",
-                )
-            )
-            break
-        prev_end = end
-        body = sym.pages[r.start : end - r.block]
-        shifted = sym.pages[r.start + r.block : end]
-        if len(body) != len(shifted) or (body != shifted).any():
-            out.append(
-                Divergence(
-                    "symbolic-runs",
-                    f"{label}: run {r} is not {r.block}-periodic in the "
-                    "actual page string",
-                )
-            )
-            break
-        straddled = [b for b in boundaries if r.start < b < end]
-        if straddled:
-            out.append(
-                Divergence(
-                    "symbolic-runs",
-                    f"{label}: run {r} straddles directive position(s) "
-                    f"{straddled}",
-                )
-            )
-            break
-    if len(out) > before_runs:
-        return out  # the collapse below assumes a well-formed journal
-    surrogate = Surrogate(sym.pages, runtrace.runs)
-    if not surrogate.verify_weights():
-        out.append(
-            Divergence(
-                "symbolic-runs",
-                f"{label}: kept weights sum to "
-                f"{int(surrogate.weights.sum())}, not {n}",
-            )
-        )
-
-    # -- weighted analyzers vs the exact sweeps ------------------------------
-    exact_lru = LRUSweep(trace)
-    sym_lru = SymbolicLRU(runtrace)
-    for frames in _frames_samples(max(exact_lru.max_useful_frames, 1)):
-        fast = sym_lru.result(frames)
-        slow = exact_lru.result(frames)
-        if _result_fields(fast) != _result_fields(slow):
-            out.append(
-                Divergence(
-                    "symbolic-lru",
-                    f"{label}: frames={frames}: symbolic "
-                    f"{_result_fields(fast)} vs sweep {_result_fields(slow)}",
-                )
-            )
-    exact_ws = WSSweep(trace)
-    sym_ws = SymbolicWS(runtrace)
-    for tau in _tau_samples(max(n, 1)):
-        fast = sym_ws.result(tau)
-        slow = exact_ws.result(tau)
-        if _result_fields(fast) != _result_fields(slow):
-            out.append(
-                Divergence(
-                    "symbolic-ws",
-                    f"{label}: tau={tau}: symbolic "
-                    f"{_result_fields(fast)} vs sweep {_result_fields(slow)}",
-                )
-            )
-
-    # -- CD structure walk vs the closed-form fast path ----------------------
-    for config in (
-        CDConfig(),
-        CDConfig(pi_cap=1),
-        CDConfig(pi_cap=2),
-        CDConfig(min_allocation=3),
-        CDConfig(honor_locks=False),
-    ):
-        if not fastsim.cd_fast_applicable(trace, config):
-            continue
-        slow = fastsim.simulate_cd_fast(
-            trace, config, distances=exact_lru._distances
-        )
-        try:
-            fast = simulate_cd_symbolic(
-                runtrace,
-                config,
-                surrogate=surrogate,
-                kept_distances=sym_lru._distances,
-            )
-        except ValueError as err:
-            out.append(
-                Divergence(
-                    "symbolic-cd",
-                    f"{label}: {config.label()}: walk rejected a "
-                    f"detector-built journal: {err}",
-                )
-            )
-            continue
-        if _result_fields(fast) != _result_fields(slow):
-            out.append(
-                Divergence(
-                    "symbolic-cd",
-                    f"{label}: {config.label()}: symbolic "
-                    f"{_result_fields(fast)} vs fast {_result_fields(slow)}",
-                )
-            )
-
-    # -- full minimum-ST searches --------------------------------------------
-    for check, fast, slow in (
-        ("LRU", sym_lru.min_space_time(), exact_lru.min_space_time()),
-        ("WS", sym_ws.min_space_time(), exact_ws.min_space_time()),
-    ):
-        if (
-            _result_fields(fast) != _result_fields(slow)
-            or fast.parameter != slow.parameter
-        ):
-            out.append(
-                Divergence(
-                    "symbolic-min-st",
-                    f"{label}: {check} min-ST: symbolic "
-                    f"{_result_fields(fast)} @ {fast.parameter} vs exact "
-                    f"{_result_fields(slow)} @ {slow.parameter}",
-                )
-            )
-    return out
+# -- check class: static (trace-free) engine equivalence ----------------------
 
 
 def check_static(
@@ -1744,16 +1476,11 @@ def check_program(
         out.extend(divs)
         if plan is not None:
             out.extend(check_lint(program, plan, trace, label))
-        # metric-* before symbolic-*: both compare against the same fast
+        # metric-* before static-*: both compare against the same fast
         # paths, so a fastsim/analyzer bug should classify as the metric
-        # divergence it is, not as a symbolic one
+        # divergence it is, not as a static one
         if trace is not None and len(trace.pages):
             out.extend(check_metrics(trace, label))
-        out.extend(
-            check_symbolic(
-                program, plan, trace, label, max_references=max_references
-            )
-        )
         out.extend(
             check_static(
                 program, plan, trace, label, max_references=max_references

@@ -1,23 +1,24 @@
-"""Unit tests for the symbolic (trace-free) locality engine.
+"""Unit tests for the weighted locality analyzers the static tier runs.
 
 Synthetic page strings pin the run detector and the collapse algebra;
-a catalog workload pins the end-to-end equality against the exact
-trace-backed analyzers; a deliberately non-affine nest pins the CD301
-fallback path (exact trace, zero runs from that nest, coverage report).
+catalog workloads pin the structure walk against the closed-form fast
+path over the exact trace; a deliberately non-affine nest pins the
+CD301 fallback path (literal references, coverage report).
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.staticloc import generate_static_string, static_artifacts_for
 from repro.analysis.symbolic import (
     Run,
     Surrogate,
     SymbolicLRU,
     SymbolicWS,
     detect_runs,
-    generate_runtrace,
     simulate_cd_symbolic,
 )
+from repro.experiments.runner import artifacts_for
 from repro.frontend.parser import parse_source
 from repro.tracegen.events import ReferenceTrace
 from repro.tracegen.interpreter import generate_trace
@@ -119,24 +120,23 @@ class TestSurrogateAlgebra:
 
 class TestSymbolicCD:
     def test_walk_matches_fastsim_on_workload(self):
-        from repro.analysis.symbolic import symbolic_artifacts_for
-
-        art = symbolic_artifacts_for("FIELD")
+        art = static_artifacts_for("FIELD")
+        exact = artifacts_for("FIELD").trace
         for config in (CDConfig(), CDConfig(pi_cap=1), CDConfig(pi_cap=2)):
             sym = simulate_cd_symbolic(
                 art.runtrace, config, surrogate=art.surrogate
             )
-            fast = simulate_cd_fast(art.trace, config)
+            fast = simulate_cd_fast(exact, config)
             assert sym.page_faults == fast.page_faults
             assert sym.mem_average == fast.mem_average
             assert sym.space_time == fast.space_time
 
     def test_memory_limit_rejected_like_fast_path(self):
-        from repro.analysis.symbolic import symbolic_artifacts_for
-
-        art = symbolic_artifacts_for("INIT")
+        art = static_artifacts_for("INIT")
         with pytest.raises(ValueError):
-            simulate_cd_symbolic(art.runtrace, CDConfig(memory_limit=4))
+            simulate_cd_symbolic(
+                art.runtrace, CDConfig(memory_limit=4), surrogate=art.surrogate
+            )
         # ...but the artifact-level entry point falls back cleanly.
         result = art.cd_result(CDConfig(pi_cap=2, memory_limit=4))
         assert result.page_faults > 0
@@ -155,9 +155,14 @@ _NONAFFINE = """\
 class TestNonAffineFallback:
     def test_fallback_trace_is_exact_and_flagged(self):
         program = parse_source(_NONAFFINE)
-        rt = generate_runtrace(program)
+        string = generate_static_string(program)
         exact = generate_trace(program, compile_nests=False)
-        np.testing.assert_array_equal(rt.trace.pages, exact.pages)
+        pages = np.empty(string.n_references, dtype=np.int32)
+        pages[string.kept_pos] = string.kept_pages
+        for r in string.runs:  # every copy repeats the kept first one
+            first = pages[r.start : r.start + r.block]
+            pages[r.start : r.end] = np.tile(first, r.repeats)
+        np.testing.assert_array_equal(pages, exact.pages)
         from repro.staticcheck import lint_program
 
         flagged = [
@@ -166,37 +171,8 @@ class TestNonAffineFallback:
         assert flagged, "the quadratic subscript must be CD301-flagged"
 
     def test_workload_coverage_report(self):
-        from repro.analysis.symbolic import symbolic_artifacts_for
-
         # FIELD carries four CD301-flagged subscripts; INIT none.  The
-        # flags are advisory: both traces stay exact either way.
-        assert symbolic_artifacts_for("FIELD").coverage()["nonaffine_sites"] == 4
-        assert symbolic_artifacts_for("INIT").coverage()["nonaffine_sites"] == 0
+        # flags are advisory: both strings stay exact either way.
+        assert static_artifacts_for("FIELD").coverage()["nonaffine_sites"] == 4
+        assert static_artifacts_for("INIT").coverage()["nonaffine_sites"] == 0
 
-
-class TestEndToEndEquality:
-    def test_symbolic_artifacts_match_trace_artifacts(self):
-        from repro.analysis.symbolic import symbolic_artifacts_for
-        from repro.experiments.runner import artifacts_for
-
-        sym = symbolic_artifacts_for("INIT")
-        exact = artifacts_for("INIT")
-        np.testing.assert_array_equal(sym.trace.pages, exact.trace.pages)
-        a, b = sym.lru.min_space_time(), exact.lru.min_space_time()
-        assert (a.parameter, a.page_faults, a.space_time) == (
-            b.parameter,
-            b.page_faults,
-            b.space_time,
-        )
-        a, b = sym.ws.min_space_time(), exact.ws.min_space_time()
-        assert (a.parameter, a.page_faults, a.space_time) == (
-            b.parameter,
-            b.page_faults,
-            b.space_time,
-        )
-        a, b = sym.best_cd_result(), exact.best_cd_result()
-        assert (a.parameter, a.page_faults, a.space_time) == (
-            b.parameter,
-            b.page_faults,
-            b.space_time,
-        )

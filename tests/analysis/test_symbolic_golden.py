@@ -1,10 +1,10 @@
-"""Golden-file regression tests for the symbolic engine's predictions.
+"""Golden-file regression tests for the trace-free engine's predictions.
 
-One JSON snapshot per catalog workload pins the trace-free engine's
-headline numbers — trace/collapse shape, affine coverage, and the
-LRU / WS / CD space-time minima — so any change to the recipe tier,
-the run detector, or the weighted analyzers shows up as a diff against
-``tests/analysis/golden/``.
+One JSON snapshot per catalog workload pins the static tier's headline
+numbers — string/collapse shape, affine coverage, and the LRU / WS /
+CD space-time minima — so any change to the recipe tier, the closed
+form, the run detector, or the weighted analyzers shows up as a diff
+against ``tests/analysis/golden/``.
 
 After an intentional change, regenerate with::
 
@@ -22,10 +22,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _snapshot(name):
-    from repro.analysis.symbolic import symbolic_artifacts_for
+    from repro.analysis.staticloc import static_artifacts_for
     from repro.staticcheck import lint_program
 
-    art = symbolic_artifacts_for(name)
+    art = static_artifacts_for(name)
     lru_min = art.lru.min_space_time()
     ws_min = art.ws.min_space_time()
     cd = art.best_cd_result()
@@ -35,7 +35,7 @@ def _snapshot(name):
         if d.rule == "CD301"
     )
     return {
-        "references": len(art.trace.pages),
+        "references": art.string.n_references,
         "kept_references": len(art.surrogate.kept_pos),
         "runs": len(art.runtrace.runs),
         "nonaffine_sites": flagged,
@@ -73,7 +73,7 @@ def test_symbolic_predictions_match_golden(name, request):
     )
     expected = json.loads(path.read_text())
     assert got == expected, (
-        f"{name} symbolic predictions drifted from the golden snapshot; "
+        f"{name} static predictions drifted from the golden snapshot; "
         "if the change is intentional, rerun with --update-golden and "
         "commit the diff"
     )

@@ -286,3 +286,26 @@ class TestFastSimIntegration:
         artifacts = artifacts_for("FIELD")
         result = artifacts.cd_result(CDConfig(pi_cap=2, memory_limit=4))
         assert result.page_faults > 0  # exercised the general simulator
+
+
+class TestReplayOptions:
+    def test_options_hold_only_inside_the_block(self, tmp_path, monkeypatch):
+        import repro.vm.stream as stream
+        from repro.experiments.runner import replay_options, timelines_dir
+
+        backends = []
+
+        def fake_stream(trace, requests, backend=None, chunk_size=None):
+            backends.append(backend)
+            return []
+
+        monkeypatch.setattr(stream, "stream_simulate", fake_stream)
+        monkeypatch.delenv("REPRO_TIMELINES_DIR", raising=False)
+        art = artifacts_for("INIT")
+        with replay_options(timelines=tmp_path, backend="numpy"):
+            assert timelines_dir() == tmp_path
+            art.policy_results([])
+            art.policy_results([], backend="auto")  # an explicit choice wins
+        assert timelines_dir() is None
+        art.policy_results([])
+        assert backends == ["numpy", "auto", None]

@@ -1,6 +1,5 @@
 """``--mode static``: routing, CLI surface, and the static disk cache
-(warm loads must be identical, corrupt entries quarantined) — the
-third-mode twin of ``test_symbolic_mode.py``."""
+(warm loads must be identical, corrupt entries quarantined)."""
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from repro.analysis.staticloc.artifacts import (
     static_artifacts_for,
 )
 from repro.cli import main
-from repro.experiments.runner import STATS, cache_info, clear_cache
+from repro.experiments.runner import STATS, artifacts_for, cache_info, clear_cache
 from repro.experiments.table2 import generate_table2, render_table2
 
 
@@ -31,11 +30,6 @@ class TestModeRouting:
     def test_static_rows_equal_trace_rows(self, fresh_cache):
         assert generate_table2(mode="static") == generate_table2()
 
-    def test_static_rows_equal_symbolic_rows(self, fresh_cache):
-        assert generate_table2(mode="static") == generate_table2(
-            mode="symbolic"
-        )
-
     def test_static_render_equals_trace_render(self, fresh_cache):
         assert render_table2(mode="static") == render_table2()
 
@@ -47,6 +41,25 @@ class TestModeRouting:
     def test_cli_other_tables_reject_static(self, fresh_cache):
         with pytest.raises(SystemExit, match="table 2"):
             main(["table", "1", "--mode", "static"])
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            generate_table2(mode="psychic")
+
+    def test_cli_accepts_only_trace_and_static(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "2", "--mode", "symbolic"])
+        assert exc.value.code == 2  # argparse usage error
+        assert "choose from 'trace', 'static'" in capsys.readouterr().err
+
+    def test_cli_timelines_rejected_before_any_work(self, fresh_cache, tmp_path):
+        # The static tier replays no events: --timelines would write
+        # nothing, so it is refused before the directory is created.
+        tdir = tmp_path / "timelines"
+        with pytest.raises(SystemExit, match="--timelines"):
+            main(["table", "2", "--mode", "static", "--timelines", str(tdir)])
+        assert not tdir.exists()
+        assert STATS.cache_hits == STATS.cache_misses == 0
 
 
 class TestStaticArtifacts:
@@ -149,11 +162,12 @@ class TestStaticDiskCache:
         assert cache_info()["disk_entries"] == 0
 
     def test_clear_static_cache_leaves_other_modes(self, fresh_cache):
-        from repro.analysis.symbolic.artifacts import symbolic_artifacts_for
-
-        symbolic_artifacts_for("INIT")
+        artifacts_for("INIT")
         static_artifacts_for("INIT")
-        other_entries = set(fresh_cache.glob("runs-*.npz"))
+        other_entries = set(fresh_cache.glob("*.npz")) - set(
+            fresh_cache.glob("static-*.npz")
+        )
+        assert other_entries  # the trace-mode trace and sweeps
         clear_static_cache()
         assert not list(fresh_cache.glob("static-*.npz"))
-        assert set(fresh_cache.glob("runs-*.npz")) == other_entries
+        assert set(fresh_cache.glob("*.npz")) == other_entries

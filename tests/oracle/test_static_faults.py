@@ -2,23 +2,23 @@
 ``static-*`` battery — the end-to-end acceptance test for the
 closed-form engine's oracle.
 
-Two injection points, matching the tier's two structuring paths:
+Three injection points, matching the tier's two structuring paths and
+the weighted analyzers they feed:
 
 * the closed-form crossing formula (recipe bindings) — only bundled
   workloads reach it, so the fault is driven through
   :func:`check_static` on a recipe-tier workload;
-* the per-batch run detector (binder bindings) — fuzzer cases reach it,
-  so the fault goes through the full ``verify`` runner, which must
-  catch it, attribute it to the static tier, shrink it, and write the
-  reproducer pair.
+* the per-batch run detector (binder bindings) and the weighted LRU
+  reuse bins — fuzzer cases reach both, so the fault goes through the
+  full ``verify`` runner, which must catch it, attribute it to the
+  static tier, shrink it, and write the reproducer pair.
 """
 
 import json
 
-import numpy as np
-
 from repro.analysis.staticloc import affine
 from repro.analysis.staticloc import string as staticloc_string
+from repro.analysis.symbolic.locality import SymbolicLRU
 from repro.analysis.symbolic.runtrace import Run
 from repro.directives import instrument_program
 from repro.oracle.harness import check_static
@@ -66,10 +66,9 @@ def test_dropped_crossing_is_caught(monkeypatch):
 
 def test_overclaimed_binder_batch_is_caught_and_shrunk(tmp_path, monkeypatch):
     # One extra trailing repeat per binder-batch run: the journal claims
-    # an iteration that is not in the string.  Only the static tier
-    # imports this binding of the detector, so the verify runner must
-    # attribute the failure to ``static-*`` (not ``symbolic-*``),
-    # shrink it, and write the reproducer pair.
+    # an iteration that is not in the string.  The verify runner must
+    # attribute the failure to ``static-*``, shrink it, and write the
+    # reproducer pair.
     real = staticloc_string.detect_runs
 
     def overclaim(pages, segments, boundaries=(), **kwargs):
@@ -88,6 +87,31 @@ def test_overclaimed_binder_batch_is_caught_and_shrunk(tmp_path, monkeypatch):
     assert src.exists() and meta.exists()
     payload = json.loads(meta.read_text())
     assert payload["seed"] == failure.seed
+    # shrinking can only remove text, never add it
+    assert len(failure.shrunk_source) <= len(failure.source)
+    assert src.read_text() == failure.shrunk_source
+
+
+def test_off_by_one_reuse_bin_is_caught(tmp_path, monkeypatch):
+    # Shift the reuse-distance bin boundary by one: a reference whose
+    # stack distance is exactly frames+1 no longer counts as a fault.
+    real = SymbolicLRU.faults
+
+    def off_by_one(self, frames):
+        return real(self, frames + 1)
+
+    monkeypatch.setattr(SymbolicLRU, "faults", off_by_one)
+    report = verify(seeds=4, out_dir=tmp_path, deep=False)
+    assert not report.ok
+    failure = report.failures[0]
+    assert failure.check == "static-lru"
+    # the reproducer pair landed on disk and replays from the metadata
+    src = tmp_path / f"seed{failure.seed:06d}-static.f"
+    meta = tmp_path / f"seed{failure.seed:06d}-static.json"
+    assert src.exists() and meta.exists()
+    payload = json.loads(meta.read_text())
+    assert payload["seed"] == failure.seed
+    assert "verify --seeds 1 --start-seed" in payload["replay"]
     # shrinking can only remove text, never add it
     assert len(failure.shrunk_source) <= len(failure.source)
     assert src.read_text() == failure.shrunk_source

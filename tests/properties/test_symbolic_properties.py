@@ -1,54 +1,40 @@
-"""Hypothesis property tests on the symbolic (trace-free) engine.
+"""Hypothesis property tests on the weighted (trace-free) analyzers.
 
 Driven by the same fuzzer the oracle uses, at several reference caps so
-truncation lands both outside and *inside* compiled nests:
+truncation lands both outside and *inside* compiled nests, over the run
+journal of the static string (:func:`_pair`):
 
-* symbolic LRU fault counts are monotone non-increasing in the
+* weighted LRU fault counts are monotone non-increasing in the
   allocation (the stack property survives the weighted collapse);
-* the symbolic WS size curve never exceeds the distinct-page count, and
+* the weighted WS size curve never exceeds the distinct-page count, and
   its fault counts are monotone non-increasing in τ;
-* the symbolic CD walk's MEM (and every other field) equals the
-  closed-form fast path's;
+* the CD structure walk's MEM (and every other field) equals the
+  closed-form fast path's on the exact trace;
 * the collapse itself conserves references (kept weights sum to n).
 """
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, settings
 
 from repro.analysis.symbolic import (
+    RunTrace,
     Surrogate,
     SymbolicLRU,
     SymbolicWS,
-    generate_runtrace,
     simulate_cd_symbolic,
 )
-from repro.oracle.generator import generate_case
 from repro.vm.fastsim import cd_fast_applicable, simulate_cd_fast
 from repro.vm.policies import CDConfig
 
-#: small enough to truncate mid-nest, large enough to leave runs intact
-_BOUNDS = (257, 5_000, 200_000)
-
-seed_strategy = st.integers(min_value=0, max_value=400)
-bound_strategy = st.sampled_from(_BOUNDS)
-
-
-def _runtrace(seed, bound):
-    # A few fuzzer cases legitimately raise at runtime (the oracle
-    # checks both tiers raise identically); properties skip those.
-    try:
-        return generate_runtrace(
-            generate_case(seed).program, max_references=bound
-        )
-    except Exception:
-        return None
+from .test_static_properties import _pair, bound_strategy, seed_strategy
 
 
 @given(seed=seed_strategy, bound=bound_strategy)
 @settings(max_examples=40, deadline=None)
 def test_symbolic_lru_faults_monotone_in_frames(seed, bound):
-    rt = _runtrace(seed, bound)
-    assume(rt is not None)
-    lru = SymbolicLRU(rt)
+    pair = _pair(seed, bound)
+    assume(pair is not None)
+    string, _ = pair
+    lru = SymbolicLRU(string.surrogate())
     top = max(lru.max_useful_frames, 1) + 2
     faults = [lru.faults(m) for m in range(1, top + 1)]
     assert faults == sorted(faults, reverse=True)
@@ -58,11 +44,12 @@ def test_symbolic_lru_faults_monotone_in_frames(seed, bound):
 @given(seed=seed_strategy, bound=bound_strategy)
 @settings(max_examples=40, deadline=None)
 def test_symbolic_ws_curve_bounded_by_distinct_pages(seed, bound):
-    rt = _runtrace(seed, bound)
-    assume(rt is not None)
-    ws = SymbolicWS(rt)
-    distinct = len(set(rt.trace.pages.tolist()))
-    n = len(rt.trace.pages)
+    pair = _pair(seed, bound)
+    assume(pair is not None)
+    string, trace = pair
+    ws = SymbolicWS(string.surrogate())
+    distinct = len(set(trace.pages.tolist()))
+    n = len(trace.pages)
     taus = sorted({1, 2, 7, max(1, n // 2), n + 3})
     for tau in taus:
         assert ws.mem(tau) <= distinct + 1e-9
@@ -73,13 +60,15 @@ def test_symbolic_ws_curve_bounded_by_distinct_pages(seed, bound):
 @given(seed=seed_strategy, bound=bound_strategy)
 @settings(max_examples=40, deadline=None)
 def test_symbolic_cd_mem_matches_fastsim(seed, bound):
-    rt = _runtrace(seed, bound)
-    assume(rt is not None)
+    pair = _pair(seed, bound)
+    assume(pair is not None)
+    string, trace = pair
+    runtrace = RunTrace(string, string.runs)
     for config in (CDConfig(), CDConfig(pi_cap=1), CDConfig(min_allocation=3)):
-        if not cd_fast_applicable(rt.trace, config):
+        if not cd_fast_applicable(trace, config):
             continue
-        sym = simulate_cd_symbolic(rt, config)
-        fast = simulate_cd_fast(rt.trace, config)
+        sym = simulate_cd_symbolic(runtrace, config, surrogate=string.surrogate())
+        fast = simulate_cd_fast(trace, config)
         assert sym.mem_average == fast.mem_average
         assert sym.page_faults == fast.page_faults
         assert sym.space_time == fast.space_time
@@ -88,8 +77,9 @@ def test_symbolic_cd_mem_matches_fastsim(seed, bound):
 @given(seed=seed_strategy, bound=bound_strategy)
 @settings(max_examples=40, deadline=None)
 def test_collapse_conserves_references(seed, bound):
-    rt = _runtrace(seed, bound)
-    assume(rt is not None)
-    surrogate = Surrogate(rt.trace.pages, rt.runs)
+    pair = _pair(seed, bound)
+    assume(pair is not None)
+    string, trace = pair
+    surrogate = Surrogate(trace.pages, string.runs)
     assert surrogate.verify_weights()
-    assert len(surrogate.kept_pos) <= len(rt.trace.pages)
+    assert len(surrogate.kept_pos) <= len(trace.pages)

@@ -4,7 +4,6 @@ anything future) must survive a regeneration, because the nightly
 workflow commits the merged file as the benchmark trajectory."""
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -36,7 +35,7 @@ def test_write_summary_preserves_prior_sections(tmp_path, bench):
     assert data["stream"] == prior["stream"]
     assert data["future_section"] == prior["future_section"]
     # ...while this writer's own sections were regenerated
-    for key in ("replay_conduct", "tracegen", "tables", "symbolic", "static"):
+    for key in ("replay_conduct", "tracegen", "tables", "static"):
         assert key in data, key
     assert data == summary
 
@@ -47,6 +46,5 @@ def test_write_summary_tolerates_missing_or_garbage_file(tmp_path, bench):
     assert "replay_conduct" in summary
     path.write_text("{definitely not json")
     summary = bench.write_summary(str(path))  # corrupt prior file
-    assert "symbolic" in summary
     assert "static" in summary
     assert json.loads(path.read_text())  # rewritten clean

@@ -164,7 +164,9 @@ class TestTable:
     def test_timelines_written(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_TIMELINES_DIR", raising=False)
         tdir = tmp_path / "timelines"
+        before = dict(os.environ)
         assert main(["table", "1", "--timelines", str(tdir)]) == 0
+        assert dict(os.environ) == before  # the flag configures no process state
         capsys.readouterr()
         files = sorted(tdir.glob("*.jsonl"))
         assert files, "table --timelines must persist per-cell event logs"
@@ -172,7 +174,6 @@ class TestTable:
 
         events = load_events(files[0])
         assert any(isinstance(e, Fault) for e in events)
-        monkeypatch.delenv("REPRO_TIMELINES_DIR", raising=False)
 
 
 class TestTracePolicy:
