@@ -12,12 +12,10 @@ built with :meth:`Surrogate.from_parts`.  Every number matches the
 trace-backed artifacts exactly (Table 2 produced either way is
 identical); only the cost differs.
 
-Two exact fallbacks remain for CD configurations the structure walk
-cannot serve (a memory ceiling, honored LOCKs, or a journal the walk
-rejects): a LOCK-instrumented execution compiles nothing, so its
-string is fully literal and materializes for free; anything else
-regenerates the trace once and counts it in ``gen_stats`` — visible,
-never silent.
+CD configurations the structure walk cannot serve (a memory ceiling,
+honored LOCKs, or a journal the walk rejects) replay the exact trace
+that the string expands to (kept pages plus copies of each run's
+block), built once per artifact and never regenerated from source.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from repro.experiments.runner import (
 )
 from repro.tracegen import io as trace_io
 from repro.tracegen.events import ReferenceTrace
-from repro.tracegen.interpreter import generate_trace
 from repro.vm.analyzers import LRUSweep
 from repro.vm.fastsim import cd_fast_applicable, simulate_cd_fast
 from repro.vm.metrics import SimulationResult
@@ -114,7 +111,7 @@ class StaticArtifacts:
     def coverage(self) -> Dict[str, int]:
         """Static coverage: CD301-flagged subscript sites versus what
         the closed form / compiler proved vs recovered by
-        interpretation, plus any exact-trace fallbacks taken."""
+        interpretation."""
         from repro.staticcheck import lint_program
 
         flagged = sum(
@@ -128,21 +125,10 @@ class StaticArtifacts:
 
     def _exact_trace(self) -> ReferenceTrace:
         """The flat trace, for the CD configurations the walk cannot
-        serve.  Free for fully literal strings; otherwise a counted
-        one-time regeneration."""
+        serve: the string expanded once (its own geometry, its own
+        directives) and kept."""
         if self._exact is None:
-            if self.string.fully_literal:
-                self._exact = self.string.to_reference_trace()
-            else:
-                self.gen_stats["exact_fallback_traces"] = (
-                    self.gen_stats.get("exact_fallback_traces", 0) + 1
-                )
-                workload = get_workload(self.name)
-                self._exact = generate_trace(
-                    workload.program(),
-                    plan=self.plan,
-                    symbols=workload.symbols(),
-                )
+            self._exact = self.string.to_reference_trace()
         return self._exact
 
 

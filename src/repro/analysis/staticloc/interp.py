@@ -18,6 +18,12 @@
   Interpreted references stay literal (they carry no provable
   structure).
 
+LOCK-instrumented plans compile like any other: a recipe resolves a
+LOCK on its loop from the interpreter's state at entry, a binder batch
+from its own pages, and both hand the LOCK state back at commit
+(:class:`~repro.tracegen.events.LockBook`), so their strings collapse
+too.
+
 ``generate_static_string`` mirrors
 :func:`~repro.tracegen.interpreter.generate_trace` — same arguments,
 same errors, same directives — but returns a
@@ -94,7 +100,7 @@ class StaticCompiler(TraceCompiler):
         return cached or None
 
     def try_execute(self, loop: ast.DoLoop) -> bool:
-        if not self.enabled or not self._static_legal(loop):
+        if not self._static_legal(loop):
             return False
         recipe = self._recipe_for(loop)
         if recipe is not None:

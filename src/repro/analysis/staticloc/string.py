@@ -16,10 +16,9 @@ memory.
 only its length.  Everything downstream of run detection (the weighted
 LRU/WS analyzers via :meth:`surrogate`, the CD structure walk, the
 :class:`~repro.analysis.symbolic.runtrace.RunTrace` validation) needs
-nothing more.  A string generated under LOCK instrumentation compiles
-nothing, so it stays fully literal and can be materialized back into a
-real trace (:meth:`to_reference_trace`) for the exact-simulation
-fallbacks.
+nothing more.  For the exact-simulation fallbacks (a memory ceiling,
+honored LOCKs) any string, collapsed or literal, expands back into its
+real trace (:meth:`to_reference_trace`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.staticloc.affine import ClosedFormPages
-from repro.analysis.symbolic.collapse import Surrogate, detect_runs, kept_mask
+from repro.analysis.symbolic.collapse import (
+    MIN_REPEATS,
+    Surrogate,
+    detect_runs,
+    kept_mask,
+)
 from repro.analysis.symbolic.runtrace import Run
 from repro.tracegen.events import DirectiveEvent, DirectiveTable, ReferenceTrace
 
@@ -177,15 +181,21 @@ class StaticString:
         )
 
     def to_reference_trace(self) -> ReferenceTrace:
-        """Materialize — only possible for fully literal strings (the
-        LOCK-instrumented executions, which compile nothing)."""
-        if not self.fully_literal:
-            raise ValueError(
-                "collapsed static string has no flat pages to materialize"
-            )
+        """Expand into the exact trace: the kept pages at their
+        positions, and each collapsed run's dropped copies 2 … k−2
+        filled with its copy 0.  A fully literal string expands to
+        itself."""
+        pages = np.empty(self.n_references, dtype=np.int32)
+        pages[self.kept_pos] = self.kept_pages
+        for r in self.runs:
+            if r.repeats >= MIN_REPEATS:
+                first = pages[r.start : r.start + r.block]
+                pages[r.start + 2 * r.block : r.end - r.block] = np.tile(
+                    first, r.repeats - 3
+                )
         return ReferenceTrace(
             program_name=self.program_name,
-            pages=self.kept_pages,
+            pages=pages,
             total_pages=self.total_pages,
             directives=self.directive_table,
             array_pages=dict(self.array_pages),

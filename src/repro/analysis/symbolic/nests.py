@@ -216,6 +216,8 @@ class Recipe:
         self.writes_by_array = writes_by_array
         self.free_names = free
         self.n_sites = len(sites)
+        #: array -> its last site in an iteration (LOCK write-back)
+        self._last_site = {ref.name: s for s, ref in enumerate(sites)}
         self.period_hints = [self.n_sites] if self.n_sites else []
         #: (trips, site APs) -> offsets per site
         self._offset_memo: Dict[tuple, list] = {}
@@ -299,8 +301,17 @@ class Recipe:
         cap = it.max_references - base
         truncated = n_refs >= cap
         events = []
+        locks = None
         plan = it.plan
         if plan is not None:
+            lock = plan.locks_before.get(loop.loop_id)
+            if lock is not None:
+                # no reference of the binding precedes its LOCK
+                locks = it._locks.copy()
+                held = [it._current_page_of(name) for name in lock.arrays]
+                events.append(
+                    locks.lock(lock, it._lock_root(loop.loop_id), held, base)
+                )
             allocate = plan.allocates.get(loop.loop_id)
             if allocate is not None:
                 events.append(DirectiveEvent(
@@ -308,10 +319,8 @@ class Recipe:
                     site=loop.loop_id, requests=allocate.requests,
                 ))
             if loop.loop_id in plan.unlocks_after and not truncated:
-                events.append(DirectiveEvent(
-                    position=base + n_refs, kind=DirectiveKind.UNLOCK,
-                    site=loop.loop_id, lock_pages=(),
-                ))
+                locks = locks or it._locks.copy()
+                events.append(locks.unlock(loop.loop_id, base + n_refs))
         if truncated:
             return _Batch(
                 pages.materialize()[:cap].tolist(), events, True, nest_ops, {}, []
@@ -345,8 +354,17 @@ class Recipe:
                 array_stores.append(
                     (name, omat.T.ravel(), vmat.T.ravel())
                 )
+        lock_sites = {
+            name: site for name, site in self._last_site.items()
+            if name in it._compiler.lock_arrays
+        }
+        last_pages = {}
+        if lock_sites:
+            final = (trips - 1) * self.n_sites
+            at = pages.pages_at([final + site for site in lock_sites.values()])
+            last_pages = dict(zip(lock_sites, at.tolist()))
         return _Batch(pages, events, False, nest_ops, scalars_out,
-                      array_stores)
+                      array_stores, locks, last_pages)
 
     def _tainted(self, it):
         return it._compiler.tainted

@@ -14,9 +14,11 @@ that: given a DO loop about to execute, it tries to
    and turn column-major offsets into page ids in bulk,
 3. interleave the per-statement reference slots back into sequential
    execution order with one packed-radix sort,
-4. splice ALLOCATE/UNLOCK directive events at their exact positions, and
-5. commit scalars, array stores, the operation budget, and the
-   reference-cap truncation *exactly* as the interpreter would have.
+4. splice LOCK/ALLOCATE/UNLOCK directive events at their exact
+   positions, resolving each LOCK's pages from the batch's own pages
+   (an array's latest reference before the LOCK), and
+5. commit scalars, array stores, LOCK state, the operation budget, and
+   the reference-cap truncation *exactly* as the interpreter would have.
 
 Anything the vectorized evaluator cannot reproduce bit-for-bit —
 data-dependent control flow, loop-carried scalar dependences beyond the
@@ -221,13 +223,15 @@ class TraceCompiler:
 
     def __init__(self, interp) -> None:
         self.it = interp
-  # LOCK resolution depends on the most-recently-touched page of
-  # each array, a sequential notion the batch evaluator does not
-  # model; instrumentation plans that pin pages run interpreted.
+        self.tainted = trace_relevant_names(interp.program)
+  # A LOCK pins the page of each named array's latest reference, so
+  # every batch leaves those arrays' last pages behind for the LOCKs
+  # that follow it, interpreted or compiled.
         plan = interp.plan
-        self.enabled = plan is None or not plan.locks_before
-        self.tainted = (
-            trace_relevant_names(interp.program) if self.enabled else frozenset()
+        self.lock_arrays = frozenset(
+            name
+            for lock in (plan.locks_before.values() if plan is not None else ())
+            for name in lock.arrays
         )
         self._legal: Dict[int, bool] = {}
         #: loop_id -> (successful binds, dynamic fallbacks)
@@ -243,7 +247,7 @@ class TraceCompiler:
         """Execute ``loop`` in bulk if possible.  True on success (the
         interpreter must then skip the loop); False leaves all state
         untouched so the interpreter can run it normally."""
-        if not self.enabled or not self._static_legal(loop):
+        if not self._static_legal(loop):
             return False
         wins, losses = self._score.get(loop.loop_id, (0, 0))
         if losses >= 4 and not wins:
@@ -334,6 +338,10 @@ class TraceCompiler:
         it.scalars.update(batch.scalars)
         for name, offsets, values in batch.array_stores:
             it.arrays[name][offsets] = values
+        if batch.locks is not None:
+            it._locks = batch.locks
+        if batch.last_pages:
+            it._last_page.update(batch.last_pages)
 
 
 def _walk_nest(root: ast.DoLoop):
@@ -357,15 +365,19 @@ class _Batch:
 
     __slots__ = (
         "pages", "events", "truncated", "nest_ops", "scalars", "array_stores",
+        "locks", "last_pages",
     )
 
-    def __init__(self, pages, events, truncated, nest_ops, scalars, array_stores):
+    def __init__(self, pages, events, truncated, nest_ops, scalars, array_stores,
+                 locks=None, last_pages=None):
         self.pages = pages
         self.events = events
         self.truncated = truncated
         self.nest_ops = nest_ops
         self.scalars = scalars
         self.array_stores = array_stores
+        self.locks = locks  # the LockBook after the batch's LOCK/UNLOCKs
+        self.last_pages = last_pages  # LOCK array -> its last page here
 
 
 class _Ctx:
@@ -430,7 +442,8 @@ class _Binder:
         self.scalar_state: Dict[str, _Def] = {}
         self.processed: Set[int] = set()  # uids of executed def sites
         self.ref_groups: List[tuple] = []  # (ctx, pos, iter, slot, sel, pages)
-  # evt_groups rows: (ctx, pos, iter, slot, kind, site, requests)
+  # evt_groups rows: (ctx, pos, iter, slot, kind, site, payload);
+  # payload: ALLOCATE requests, the LockDirective, or None (UNLOCK)
         self.evt_groups: List[tuple] = []
         self.candidates: List[tuple] = []  # (name, ctx, pos, iter, inst, value)
   # writer_recs: uid -> (ctx, sel, offs, offs_c, vals64)
@@ -482,13 +495,18 @@ class _Binder:
         plan = self.it.plan
         slot = 0
         if plan is not None:
+            lock = plan.locks_before.get(loop.loop_id)
+            if lock is not None:
+                self.evt_groups.append(
+                    (pctx_idx, pos, 0, 0, DirectiveKind.LOCK, loop.loop_id, lock)
+                )
             allocate = plan.allocates.get(loop.loop_id)
             if allocate is not None:
                 self.evt_groups.append(
-                    (pctx_idx, pos, 0, slot, DirectiveKind.ALLOCATE,
+                    (pctx_idx, pos, 0, 1, DirectiveKind.ALLOCATE,
                      loop.loop_id, allocate.requests)
                 )
-            slot = 1
+            slot = 2
   # Bounds evaluate once per entry, in the parent context; any
   # references inside them fire at the entry marker.
         stash: Dict[int, np.ndarray] = {}
@@ -1311,20 +1329,26 @@ class _Binder:
         evt_sorted_gidx = eg[order[is_evt] - nr]
         base = len(it._refs)
         events = []
+        locks = None
+        lock_refs = _LockRefs(it, pages_sorted)
         for local, gi in zip(evt_local_pos.tolist(), evt_sorted_gidx.tolist()):
             if truncated and local >= cap:
                 break  # the trace fills before this event fires
-            _c, _p, _iv, _s, kind, site, requests = self.evt_groups[gi]
+            _c, _p, _iv, _s, kind, site, payload = self.evt_groups[gi]
             if kind is DirectiveKind.ALLOCATE:
                 events.append(DirectiveEvent(
                     position=base + local, kind=kind, site=site,
-                    requests=requests,
+                    requests=payload,
                 ))
+                continue
+            if locks is None:
+                locks = it._locks.copy()
+            if kind is DirectiveKind.LOCK:
+                root = it._lock_root(self.root.loop_id)
+                pages = [lock_refs.page_before(name, local) for name in payload.arrays]
+                events.append(locks.lock(payload, root, pages, base + local))
             else:
-                events.append(DirectiveEvent(
-                    position=base + local, kind=kind, site=site,
-                    lock_pages=(),
-                ))
+                events.append(locks.unlock(site, base + local))
         if truncated:
             return _Batch(pages_sorted[:cap].tolist(), events, True,
                           self.nest_ops, {}, [])
@@ -1350,8 +1374,41 @@ class _Binder:
             v = np.concatenate(vals_l)
             ordr = np.argsort(k, kind="stable")
             array_stores.append((name, o[ordr], v[ordr]))
+        last_pages = {
+            name: lock_refs.page_before(name, len(pages_sorted))
+            for name in self.comp.lock_arrays
+        }
         return _Batch(pages_sorted.tolist(), events, False, self.nest_ops,
-                      scalars, array_stores)
+                      scalars, array_stores, locks, last_pages)
+
+
+class _LockRefs:
+    """Last-page queries over one batch's sorted pages, for LOCK
+    resolution.  Arrays own disjoint page ranges, so an array's last
+    page before batch position ``p`` is one ``searchsorted`` over the
+    batch indices that fall in its range; with none there, the page
+    comes from the interpreter (its last page, or the array's first)."""
+
+    __slots__ = ("it", "pages", "_idx")
+
+    def __init__(self, it, pages: np.ndarray) -> None:
+        self.it = it
+        self.pages = pages
+        self._idx: Dict[str, np.ndarray] = {}
+
+    def page_before(self, name: str, pos: int) -> int:
+        idx = self._idx.get(name)
+        if idx is None:
+            placement = self.it.layout.placements[name]
+            lo = placement.first_page
+            idx = np.flatnonzero(
+                (self.pages >= lo) & (self.pages < lo + placement.page_count)
+            )
+            self._idx[name] = idx
+        k = int(np.searchsorted(idx, pos)) - 1
+        if k < 0:
+            return self.it._current_page_of(name)
+        return int(self.pages[idx[k]])
 
 
 def _overlaps(a: np.ndarray, b: np.ndarray) -> bool:

@@ -71,6 +71,58 @@ class DirectiveEvent:
             raise ValueError("LOCK event needs PJ >= 2")
 
 
+class LockBook:
+    """Run-time LOCK bookkeeping shared by every trace producer.
+
+    ``by_site`` holds the pages pinned at each LOCK site, ``by_root`` the
+    sites locked under each root nest (the outermost loop active when
+    the LOCK executed); the UNLOCK after a root releases the latest
+    pages of every site under it.  The interpreter owns one book; a
+    compiled batch works on a :meth:`copy` and hands it back at commit.
+    """
+
+    __slots__ = ("by_site", "by_root")
+
+    def __init__(self) -> None:
+        self.by_site: Dict[int, Tuple[int, ...]] = {}
+        self.by_root: Dict[int, List[int]] = {}
+
+    def copy(self) -> "LockBook":
+        book = LockBook()
+        book.by_site = dict(self.by_site)
+        book.by_root = {root: list(sites) for root, sites in self.by_root.items()}
+        return book
+
+    def lock(self, lock, root: int, pages, position: int) -> DirectiveEvent:
+        """Register ``lock`` (a ``LockDirective``) pinning ``pages``
+        under ``root``; returns its LOCK event."""
+        pages = tuple(sorted(set(pages)))
+        self.by_site[lock.loop_id] = pages
+        sites = self.by_root.setdefault(root, [])
+        if lock.loop_id not in sites:
+            sites.append(lock.loop_id)
+        return DirectiveEvent(
+            position=position,
+            kind=DirectiveKind.LOCK,
+            site=lock.loop_id,
+            lock_pages=pages,
+            priority_index=lock.priority_index,
+        )
+
+    def unlock(self, root: int, position: int) -> DirectiveEvent:
+        """Release every site locked under ``root``; returns the UNLOCK
+        event placed after that loop."""
+        pages = set()
+        for site in self.by_root.pop(root, ()):
+            pages.update(self.by_site.pop(site, ()))
+        return DirectiveEvent(
+            position=position,
+            kind=DirectiveKind.UNLOCK,
+            site=root,
+            lock_pages=tuple(sorted(pages)),
+        )
+
+
 def _ints(values: Sequence[int]) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 

@@ -31,7 +31,12 @@ from repro.directives.model import InstrumentationPlan
 from repro.frontend import ast
 from repro.frontend.errors import FrontendError
 from repro.frontend.symbols import SymbolTable
-from repro.tracegen.events import DirectiveEvent, DirectiveKind, ReferenceTrace
+from repro.tracegen.events import (
+    DirectiveEvent,
+    DirectiveKind,
+    LockBook,
+    ReferenceTrace,
+)
 from repro.tracegen.paging import MemoryLayout
 
 Number = Union[int, float]
@@ -141,10 +146,7 @@ class Interpreter:
         self._refs: List[int] = []
         self._events: List[DirectiveEvent] = []
         self._last_page: Dict[str, int] = {}
-        #: pages currently pinned, per directive site
-        self._locks_by_site: Dict[int, Tuple[int, ...]] = {}
-        #: sites locked under each root nest (for UNLOCK resolution)
-        self._sites_by_root: Dict[int, List[int]] = {}
+        self._locks = LockBook()
         self._loop_stack: List[int] = []
         self._operations = 0
         self._truncated = False
@@ -306,21 +308,10 @@ class Interpreter:
             return
         lock = self.plan.locks_before.get(loop.loop_id)
         if lock is not None:
-            pages = tuple(
-                sorted({self._current_page_of(name) for name in lock.arrays})
-            )
-            root = self._loop_stack[0] if self._loop_stack else loop.loop_id
-            self._locks_by_site[lock.loop_id] = pages
-            self._sites_by_root.setdefault(root, [])
-            if lock.loop_id not in self._sites_by_root[root]:
-                self._sites_by_root[root].append(lock.loop_id)
+            pages = [self._current_page_of(name) for name in lock.arrays]
             self._events.append(
-                DirectiveEvent(
-                    position=len(self._refs),
-                    kind=DirectiveKind.LOCK,
-                    site=lock.loop_id,
-                    lock_pages=pages,
-                    priority_index=lock.priority_index,
+                self._locks.lock(
+                    lock, self._lock_root(loop.loop_id), pages, len(self._refs)
                 )
             )
         allocate = self.plan.allocates.get(loop.loop_id)
@@ -335,23 +326,15 @@ class Interpreter:
             )
 
     def _emit_loop_exit_directives(self, loop) -> None:
-        if self.plan is None:
+        if self.plan is None or loop.loop_id not in self.plan.unlocks_after:
             return
-        unlock = self.plan.unlocks_after.get(loop.loop_id)
-        if unlock is None:
-            return
-        sites = self._sites_by_root.pop(loop.loop_id, [])
-        pages: List[int] = []
-        for site in sites:
-            pages.extend(self._locks_by_site.pop(site, ()))
-        self._events.append(
-            DirectiveEvent(
-                position=len(self._refs),
-                kind=DirectiveKind.UNLOCK,
-                site=loop.loop_id,
-                lock_pages=tuple(sorted(set(pages))),
-            )
-        )
+        self._events.append(self._locks.unlock(loop.loop_id, len(self._refs)))
+
+    def _lock_root(self, loop_id: int) -> int:
+        """The root nest a LOCK entering ``loop_id`` registers under: the
+        outermost active loop, else ``loop_id`` (for a compiled batch,
+        its root loop) itself."""
+        return self._loop_stack[0] if self._loop_stack else loop_id
 
     def _current_page_of(self, array: str) -> int:
         page = self._last_page.get(array)

@@ -24,6 +24,18 @@ from repro.tracegen.interpreter import generate_trace
 from repro.workloads import get_workload
 
 
+def assert_same_trace(got, want):
+    """Pages, layout, truncation and every directive field equal."""
+    assert got.truncated == want.truncated
+    assert got.array_pages == want.array_pages
+    np.testing.assert_array_equal(got.pages, want.pages)
+    fields = ("position", "kind", "site", "requests", "lock_pages",
+              "priority_index")
+    assert [tuple(getattr(d, f) for f in fields) for d in got.directives] == [
+        tuple(getattr(d, f) for f in fields) for d in want.directives
+    ]
+
+
 def brute_crossings(lin0, dlin, trips, epp):
     t = np.arange(trips, dtype=np.int64)
     page = (lin0 + dlin * t) // epp
@@ -173,20 +185,26 @@ class TestStaticString:
         "END\n"
     )
 
-    def test_lock_plan_is_fully_literal_and_materializes(self):
+    def test_lock_plan_collapses_and_expands_to_the_trace(self):
         program = parse_source(self.LOCK_SRC)
         plan = instrument_program(program, with_locks=True)
         assert plan.locks_before  # the shape really produced a LOCK
         string, trace = self.cross_check(program, plan=plan)
-        assert string.fully_literal
-        back = string.to_reference_trace()
-        assert (back.pages == trace.pages).all()
-        assert back.array_pages == trace.array_pages
+        assert not string.fully_literal
+        assert_same_trace(string.to_reference_trace(), trace)
 
-    def test_collapsed_string_refuses_materialization(self):
-        string, _ = self.cross_check(parse_source(self.SRC))
-        with pytest.raises(ValueError):
-            string.to_reference_trace()
+    def test_collapsed_string_expands_to_the_trace(self):
+        string, trace = self.cross_check(parse_source(self.SRC))
+        assert not string.fully_literal
+        assert_same_trace(string.to_reference_trace(), trace)
+
+    def test_lock_cell_expands_to_the_interpreter_trace(self, lock_cell):
+        program, plan, symbols, page_config, trace = lock_cell
+        string = generate_static_string(
+            program, plan=plan, symbols=symbols, page_config=page_config
+        )
+        assert not string.fully_literal
+        assert_same_trace(string.to_reference_trace(), trace)
 
     def test_truncation_matches_interpreter(self):
         program = parse_source(self.SRC)

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.parameters import PageConfig
 from repro.analysis.staticloc.artifacts import (
     _STATIC_CACHE,
     clear_static_cache,
@@ -12,6 +13,7 @@ from repro.analysis.staticloc.artifacts import (
 from repro.cli import main
 from repro.experiments.runner import STATS, artifacts_for, cache_info, clear_cache
 from repro.experiments.table2 import generate_table2, render_table2
+from repro.vm.policies import CDConfig
 
 
 @pytest.fixture
@@ -74,6 +76,26 @@ class TestStaticArtifacts:
     def test_recovery_runs_during_generation(self, fresh_cache):
         art = static_artifacts_for("FIELD")
         assert art.gen_stats.get("recovered_sites", 0) >= 1
+
+    @pytest.mark.parametrize("name", ["INIT", "CONDUCT"])
+    def test_ceilinged_cd_equals_trace_tier_at_64_byte_pages(
+        self, fresh_cache, name
+    ):
+        # A memory ceiling replays the exact trace, which must be this
+        # string's own (64-B pages), not a default-geometry regeneration.
+        page_config = PageConfig(page_bytes=64)
+        config = CDConfig(memory_limit=8)
+        static = static_artifacts_for(name, page_config=page_config)
+        trace = artifacts_for(name, page_config=page_config)
+        assert not static.string.fully_literal
+        assert static.cd_result(config) == trace.cd_result(config)
+
+    def test_locked_cd_equals_trace_tier(self, fresh_cache):
+        # honored LOCKs replay the expanded, collapsed LOCK string
+        static = static_artifacts_for("FDJAC", with_locks=True)
+        trace = artifacts_for("FDJAC", with_locks=True)
+        assert not static.string.fully_literal
+        assert static.best_cd_result() == trace.best_cd_result()
 
     def test_coverage_reports_nonaffine_sites(self, fresh_cache):
         report = static_artifacts_for("FIELD").coverage()

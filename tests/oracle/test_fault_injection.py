@@ -5,7 +5,7 @@ import dataclasses
 import json
 
 from repro.oracle.runner import verify
-from repro.tracegen.compile import TraceCompiler
+from repro.tracegen.compile import TraceCompiler, _LockRefs
 from repro.vm import fastsim
 
 
@@ -53,6 +53,20 @@ def test_broken_trace_compiler_is_caught(tmp_path, monkeypatch):
     assert not report.ok
     assert any(f.check.startswith("trace") for f in report.failures)
     assert any(p.suffix == ".f" for p in tmp_path.iterdir())
+
+
+def test_broken_lock_resolution_is_caught(tmp_path, monkeypatch):
+    real = _LockRefs.page_before
+
+    def inclusive(self, name, pos):
+        # also counts the reference right after the LOCK
+        return real(self, name, pos + 1)
+
+    monkeypatch.setattr(_LockRefs, "page_before", inclusive)
+    report = verify(seeds=2, out_dir=tmp_path, deep=False, shrink=False)
+    assert not report.ok
+    assert {f.check for f in report.failures} == {"trace-directives"}
+    assert all("] locks: " in f.detail for f in report.failures)
 
 
 def test_time_budget_stops_early_but_runs_at_least_one_seed(tmp_path):

@@ -11,9 +11,11 @@ trace.
 import numpy as np
 import pytest
 
+from repro.analysis.staticloc import generate_static_string
 from repro.directives import instrument_program
 from repro.frontend.parser import parse_source
-from repro.tracegen.interpreter import generate_trace
+from repro.tracegen.events import DirectiveKind
+from repro.tracegen.interpreter import Interpreter, generate_trace
 from repro.workloads import all_workloads, get_workload, workload_names
 
 WORKLOADS = workload_names()
@@ -40,6 +42,7 @@ def _assert_identical(slow, fast):
         assert a.site == b.site
         assert tuple(a.requests) == tuple(b.requests)
         assert a.lock_pages == b.lock_pages
+        assert a.priority_index == b.priority_index
 
 
 class TestWorkloadEquivalence:
@@ -58,7 +61,6 @@ class TestWorkloadEquivalence:
     def test_compiler_engages_somewhere(self):
         """Guard against the fast path silently turning itself off."""
         from repro.tracegen.compile import TraceCompiler
-        from repro.tracegen.interpreter import Interpreter
 
         total = 0
         for w in all_workloads():
@@ -67,6 +69,114 @@ class TestWorkloadEquivalence:
             assert isinstance(it._compiler, TraceCompiler)
             total += it._compiler.compiled_refs
         assert total > 100_000
+
+
+class TestLockCompilation:
+    """LOCK plans compile: batches resolve each LOCK's pages from their
+    own references and share the LOCK state with the interpreter."""
+
+    def test_lock_cell_equivalence(self, lock_cell):
+        program, plan, symbols, page_config, slow = lock_cell
+        fast = generate_trace(
+            program, plan=plan, symbols=symbols, page_config=page_config
+        )
+        _assert_identical(slow, fast)
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_compiler_engages_under_lock(self, name):
+        w = get_workload(name)
+        program = w.program()
+        plan = instrument_program(program, with_locks=True)
+        it = Interpreter(
+            program, symbols=w.symbols(), plan=plan, compile_nests=True
+        )
+        it.run()
+        assert it._compiler.compiled_refs > 0
+
+    # the whole K nest compiles; three LOCKs fire inside the batch and
+    # the UNLOCK closes it at position 2703
+    NEST = (
+        "PROGRAM LNEST\n"
+        "DIMENSION A(300), B(300)\n"
+        "DO K = 1, 3\n"
+        "  A(K) = 0.0\n"
+        "  DO I = 1, 300\n"
+        "    B(I) = A(K) + B(301 - I)\n"
+        "  ENDDO\n"
+        "ENDDO\n"
+        "END\n"
+    )
+
+    @pytest.mark.parametrize("cap", [1, 2, 903, 1500, 2702])
+    def test_truncation_between_lock_and_unlock(self, cap):
+        program = parse_source(self.NEST)
+        plan = instrument_program(program, with_locks=True)
+        slow, fast = _pair(program, plan=plan, max_references=cap)
+        _assert_identical(slow, fast)
+        kinds = [d.kind for d in fast.directives]
+        assert fast.truncated and DirectiveKind.UNLOCK not in kinds
+        assert (DirectiveKind.LOCK in kinds) == (cap > 1)
+
+    # K and J hold IF blocks, so both run interpreted; I compiles.  The
+    # LOCK before I (B) fires inside a batch, the one before J (A, named
+    # by the never-taken IF) in the interpreter, after the batch moved A.
+    MIXED = (
+        "PROGRAM MIXED\n"
+        "DIMENSION A(300), B(300), C(300)\n"
+        "DO K = 1, 3\n"
+        "  B(K) = 1.0\n"
+        "  DO I = 1, 300\n"
+        "    A(I) = B(I) + C(301 - I)\n"
+        "  ENDDO\n"
+        "  IF (K .GT. 5) THEN\n"
+        "    A(1) = 0.0\n"
+        "  ENDIF\n"
+        "  DO J = 1, 10\n"
+        "    IF (J .GT. 5) THEN\n"
+        "      C(J) = A(J)\n"
+        "    ENDIF\n"
+        "  ENDDO\n"
+        "ENDDO\n"
+        "END\n"
+    )
+
+    def test_interpreted_nest_around_compiled_lock_sites(self):
+        program = parse_source(self.MIXED)
+        plan = instrument_program(program, with_locks=True)
+        outer = program.body[0]
+        inner, _if, last = outer.body[1:]
+        assert plan.locks_before[inner.loop_id].arrays == ("B",)
+        assert plan.locks_before[last.loop_id].arrays == ("A",)
+        slow, fast = _pair(program, plan=plan)
+        _assert_identical(slow, fast)
+
+        it = Interpreter(program, plan=plan, compile_nests=True)
+        trace = it.run()
+        assert it._compiler.compiled_nests == 3  # the I loop, each pass
+        assert it._compiler._legal == {
+            outer.loop_id: False, inner.loop_id: True, last.loop_id: False
+        }
+        a = trace.array_pages["A"][0]
+        b = trace.array_pages["B"][0]
+        epp = it.page_config.elements_per_page
+        locks = [d for d in trace.directives if d.kind is DirectiveKind.LOCK]
+        # the interpreted LOCK reads the last page a batch left behind
+        assert [d.lock_pages for d in locks if d.site == last.loop_id] == [
+            (a + 299 // epp,)
+        ] * 3
+        # the interpreter's UNLOCK releases what the batches registered
+        (unlock,) = [
+            d for d in trace.directives if d.kind is DirectiveKind.UNLOCK
+        ]
+        assert unlock.site == outer.loop_id
+        assert unlock.lock_pages == tuple(sorted({b + 2 // epp, a + 299 // epp}))
+
+        # the static tier binds I in closed form (a recipe): the same
+        # LOCK state and last pages must pass through its batches
+        stats = {}
+        string = generate_static_string(program, plan=plan, stats=stats)
+        assert stats["recipe_binds"] == 3
+        _assert_identical(slow, string.to_reference_trace())
 
 
 class TestTruncation:
