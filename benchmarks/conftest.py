@@ -6,6 +6,10 @@ prints every regenerated table, and records the headline numbers in the
 benchmark's ``extra_info`` (visible with ``--benchmark-verbose`` or in
 ``--benchmark-json`` output).
 
+The paper-shape assertions on these tables run in the test suite
+(``tests/experiments/test_paper_shape.py``); the benchmarks only time
+and print.
+
 The expensive, shared artifacts (traces and sweeps for all nine
 programs) are warmed once per session so each benchmark measures its own
 table assembly, not trace generation.

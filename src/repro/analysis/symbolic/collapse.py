@@ -208,7 +208,6 @@ class Surrogate:
         self.r_c1ki = np.empty(nr, dtype=np.int64)
         self.r_olo = np.empty(nr, dtype=np.int64)
         self.r_ohi = np.empty(nr, dtype=np.int64)
-        self.r_c1off = np.empty(nr, dtype=np.int64)
         # kept index of each run's copy-1 start (position r.start + b is
         # always kept, so a left bisect lands exactly on it)
         c1ki_all = (
@@ -219,7 +218,6 @@ class Surrogate:
             if nr
             else np.empty(0, dtype=np.int64)
         )
-        off = 0
         for i, r in enumerate(collapsed):
             b, omega = r.block, r.repeats - 3
             self.r_start[i] = r.start
@@ -229,8 +227,6 @@ class Surrogate:
             self.r_c1ki[i] = c1ki
             self.r_olo[i] = r.start + 2 * b
             self.r_ohi[i] = r.start + (r.repeats - 1) * b
-            self.r_c1off[i] = off
-            off += b
             self.weights[c1ki : c1ki + b] += omega
         #: kept indices of every copy-1 slot, concatenated run by run
         self.c1_kept = np.concatenate(
@@ -239,11 +235,6 @@ class Surrogate:
                 for ki, b in zip(self.r_c1ki.tolist(), self.r_block.tolist())
             ]
         ) if nr else np.empty(0, dtype=np.int64)
-        self.slot_run = np.repeat(np.arange(nr, dtype=np.int64), self.r_block)
-        self.slot_j = (
-            np.arange(len(self.c1_kept), dtype=np.int64)
-            - self.r_c1off[self.slot_run]
-        )
         self._compute_gaps()
 
     def _compute_gaps(self) -> None:
@@ -271,19 +262,6 @@ class Surrogate:
     @property
     def total_weight(self) -> int:
         return self.n_orig
-
-    @property
-    def kept_count(self) -> np.ndarray:
-        """``kept_count[x]`` = number of kept positions ``< x`` — the
-        O(1) twin of ``searchsorted(kept_pos, x, side="left")`` for any
-        ``x`` in ``[0, n_orig]``."""
-        cached = getattr(self, "_kept_count", None)
-        if cached is None:
-            marks = np.zeros(self.n_orig + 1, dtype=np.int64)
-            marks[self.kept_pos + 1] = 1
-            cached = np.cumsum(marks)
-            self._kept_count = cached
-        return cached
 
     def verify_weights(self) -> bool:
         """Self-check: kept weights account for every original reference."""

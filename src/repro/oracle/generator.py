@@ -14,7 +14,13 @@ the affine trace compiler finds hard:
 * loop-carried scalar accumulators, guarded assignments, in-place
   stencils, array-to-array copies, DATA-initialized arrays;
 * data-dependent control flow (IF blocks, DO WHILE) that *must* force
-  the compiler to fall back without changing the trace.
+  the compiler to fall back without changing the trace;
+* a LOCK that must read the page a compiled batch left behind: an
+  interpreted outer loop around a compiled nest over a multi-page
+  array, a logical IF on that array that is false on early iterations,
+  then an interpreted inner loop that Algorithm 2 locks the array
+  before.  This shape draws from its own seeded stream, so every other
+  line of a program is the same whether or not it carries the shape.
 
 Every subscript is in bounds *by construction* (each index template
 carries the variable range it is valid for), and every arithmetic
@@ -317,9 +323,33 @@ def _gen_while(em: _Emitter) -> None:
     em.emit("ENDDO")
 
 
+def _gen_lock_after_batch(em: _Emitter, rng: random.Random, dim: int) -> None:
+    """The LOCK-after-batch shape over array ``D(dim)`` (``dim`` > one
+    page): the block IF keeps K and J interpreted, the I nest compiles,
+    and on iterations where the logical IF is false the LOCK before J
+    can only learn D's page from the batch."""
+    outer = rng.randint(2, 3)
+    inner = rng.randint(2, 6)
+    em.emit(f"DO K = 1, {outer}")
+    em.depth += 1
+    em.emit(f"DO I = 1, {dim}")
+    em.emit("  D(I) = FLOAT(I)")
+    em.emit("ENDDO")
+    em.emit(f"IF (K .GT. {rng.randint(1, outer - 1)}) D({rng.randint(1, 64)}) = 0.5")
+    em.emit(f"DO J = 1, {inner}")
+    em.emit(f"  IF (J .GT. {rng.randint(1, inner)}) THEN")
+    em.emit("    S = S + D(J)")
+    em.emit("  ENDIF")
+    em.emit("ENDDO")
+    em.depth -= 1
+    em.emit("ENDDO")
+
+
 def generate_source(seed: int) -> str:
     """Deterministically generate one program's source text."""
     rng = random.Random(seed)
+    shape_rng = random.Random(f"lock-after-batch:{seed}")
+    lock_dim = shape_rng.randint(65, 160) if shape_rng.random() < 0.25 else None
     em = _Emitter(rng)
     n_arrays = rng.randint(1, 3)
     for i in range(n_arrays):
@@ -333,6 +363,8 @@ def generate_source(seed: int) -> str:
     decls = ", ".join(
         f"{a.name}({', '.join(str(d) for d in a.dims)})" for a in em.arrays
     )
+    if lock_dim is not None:
+        decls += f", D({lock_dim})"
     em.emit(f"PROGRAM FZ{seed % 100000}")
     em.emit(f"DIMENSION {decls}")
     data_arr = rng.choice(em.arrays) if rng.random() < 0.25 else None
@@ -358,6 +390,8 @@ def generate_source(seed: int) -> str:
             _gen_while(em)
         else:
             _gen_nest(em, rng.choices((1, 2, 3), weights=(3, 4, 3))[0])
+    if lock_dim is not None:
+        _gen_lock_after_batch(em, shape_rng, lock_dim)
     em.emit(f"S = S + {em.array_ref([])}")
     em.emit("END")
     return "\n".join(em.lines) + "\n"

@@ -8,7 +8,8 @@ identified by the ``check`` field of a :class:`Divergence`):
   frontend parse → unparse → parse round-trip;
 * ``metric-*`` — the closed-form CD replay, the fault-to-fault PFF and
   OPT replays and the one-pass LRU/WS analyzers against the
-  event-driven simulator;
+  event-driven simulator, and the pruned WS minimum-ST search against
+  the same search rule run on point queries;
 * ``invariant-*`` — policy laws that hold independently of any fast
   path: the LRU inclusion property across memory sizes, WS window
   contents, CD's LRU-prefix residency, and CD lock bookkeeping
@@ -52,6 +53,7 @@ from repro.tracegen.events import DirectiveKind, ReferenceTrace
 from repro.tracegen.interpreter import generate_trace
 from repro.vm import fastsim
 from repro.vm.analyzers import LRUSweep, WSSweep, previous_occurrences
+from repro.vm.metrics import SimulationResult
 from repro.vm.policies import (
     CDConfig,
     CDPolicy,
@@ -237,9 +239,27 @@ def _opt_samples(v: int) -> List[int]:
     return sorted({1, max(2, v // 2), v})
 
 
+def ws_min_by_point_queries(ws, grid: List[int]) -> SimulationResult:
+    """The minimum-ST search rule run on point queries alone: every
+    window of ``grid``, the first argmin, then the first strictly better
+    window of the refine range between its grid neighbours."""
+    results = [ws.result(tau) for tau in grid]
+    index = min(range(len(grid)), key=lambda i: results[i].space_time)
+    best = results[index]
+    tau = grid[index]
+    lo = grid[index - 1] if index > 0 else max(1, tau // 2)
+    hi = grid[index + 1] if index + 1 < len(grid) else tau * 2
+    for refined in range(lo, hi + 1, max(1, (hi - lo) // 32)):
+        result = ws.result(refined)
+        if result.space_time < best.space_time:
+            best = result
+    return best
+
+
 def check_metrics(trace: ReferenceTrace, label: str) -> List[Divergence]:
     """Analyzers and the fast replays (closed-form CD, fault-to-fault
-    PFF and OPT) vs the event-driven simulator."""
+    PFF and OPT) vs the event-driven simulator; the pruned WS minimum
+    search vs the same rule run on point queries."""
     out: List[Divergence] = []
     n = len(trace.pages)
     lru = LRUSweep(trace)
@@ -266,6 +286,16 @@ def check_metrics(trace: ReferenceTrace, label: str) -> List[Divergence]:
                     f"{_result_fields(fast)} vs simulator {_result_fields(slow)}",
                 )
             )
+    fast = ws.min_space_time()
+    slow = ws_min_by_point_queries(ws, ws.default_taus())
+    if _result_fields(fast) != _result_fields(slow) or fast.parameter != slow.parameter:
+        out.append(
+            Divergence(
+                "metric-ws-min",
+                f"{label}: search {_result_fields(fast)} @ {fast.parameter} "
+                f"vs point queries {_result_fields(slow)} @ {slow.parameter}",
+            )
+        )
     has_locks = any(d.kind is DirectiveKind.LOCK for d in trace.directives)
     configs = [
         CDConfig(),

@@ -13,7 +13,11 @@ wasteful; both policies admit single-pass analyses:
   backward inter-reference gap exceeds τ, and the working-set size at
   time ``t`` is the number of references ``s ≤ t`` that are still the
   most recent reference of their page and satisfy ``t < s + τ``; both
-  derive from the backward/forward gap arrays in O(R) per τ.
+  derive from the backward/forward gap arrays in O(R) per τ.  One
+  exact pass also bounds every other window's ST, so the minimum-ST
+  search evaluates only a few windows.  :class:`WorkingSetKernel` holds
+  this arithmetic for the trace and for the static tier's weighted
+  surrogate alike.
 
 Every number these analyzers produce agrees exactly with the
 event-driven simulator (asserted by the test suite and the hypothesis
@@ -35,10 +39,6 @@ PagesLike = Union[ReferenceTrace, np.ndarray, List[int]]
 #: any allocation or window a caller could query, not just the trace
 #: length — callers may probe frames/τ larger than the trace.
 _INFINITE_DISTANCE = np.int64(2**62)
-
-#: Above this many distinct pages the O(V²) whole-curve histograms would
-#: allocate large matrices; fall back to the per-allocation scan.
-_DENSE_CURVE_LIMIT = 1500
 
 
 def _as_pages(trace_or_pages: PagesLike) -> np.ndarray:
@@ -83,6 +83,49 @@ def _successive_occurrences(pages: np.ndarray):
     po = idx[order]
     same = pages[order][1:] == pages[order][:-1]
     return po[:-1][same], po[1:][same]
+
+
+def lru_frame_stats(
+    distances: np.ndarray,
+    distinct: np.ndarray,
+    n: int,
+    fault_service: int,
+    weights: Optional[np.ndarray] = None,
+):
+    """``(faults, mem_sums, space_times)`` of LRU at every allocation
+    ``m`` in 1..V, each indexed by ``m - 1``, in O(R + V) time and
+    memory.  ``distances``/``distinct`` are per-reference stack
+    distances (cold = huge) and distinct-pages-so-far; ``weights``
+    (default 1) the references each entry stands for, ``n`` their sum.
+
+    A reused page's stack distance is at most the distinct pages seen
+    so far, so a reference that faults at ``m`` without being cold
+    holds all ``m`` frames, and only the cold ones hold
+    ``min(distinct, m)``.  Each sum is then one histogram (over
+    distances or distinct counts) and its prefix sums.
+    """
+    v = max(int(distinct[-1]) if len(distinct) else 0, 1)
+    d = np.minimum(distances, v + 1)  # v + 1: cold
+    cold = d > v
+    k = np.arange(v + 1, dtype=np.int64)
+
+    def tally(keys: np.ndarray, w: Optional[np.ndarray]) -> np.ndarray:
+        if w is None:
+            return np.bincount(keys, minlength=v + 2)[: v + 1]
+        counts = np.bincount(keys, weights=w.astype(np.float64), minlength=v + 2)
+        return counts[: v + 1].astype(np.int64)
+
+    def min_sums(counts: np.ndarray) -> np.ndarray:
+        """``Σ_j counts[j]·min(j, m)`` for m in 1..v."""
+        below = np.cumsum(counts)
+        return (np.cumsum(counts * k) + k * (below[-1] - below))[1:]
+
+    faults = n - np.cumsum(tally(d, weights))[1:]
+    mem_sums = min_sums(tally(distinct, weights))
+    cold_counts = tally(distinct[cold], None if weights is None else weights[cold])
+    fault_mem = k[1:] * (faults - cold_counts.sum()) + min_sums(cold_counts)
+    space_times = (mem_sums + fault_service * fault_mem).astype(np.float64)
+    return faults, mem_sums, space_times
 
 
 class LRUSweep:
@@ -225,49 +268,15 @@ class LRUSweep:
         return len(self.pages) / faults
 
     def _frame_stats(self):
-        """Exact per-allocation sweep arrays for every m in 1..V.
-
-        Returns ``(faults, mem_sums, space_times)`` — each an ndarray
-        indexed by ``m - 1`` — computed from small histograms over
-        (stack distance, distinct count) instead of one O(R) pass per
-        allocation.  Every entry equals the corresponding point query.
+        """Exact per-allocation sweep arrays for every m in 1..V:
+        ``(faults, mem_sums, space_times)``, each indexed by ``m - 1``
+        (:func:`lru_frame_stats`).  Every entry equals the corresponding
+        point query.
         """
-        if self._frame_stats_cache is not None:
-            return self._frame_stats_cache
-        n = len(self.pages)
-        v = max(self.max_useful_frames, 1)
-        if n == 0 or v > _DENSE_CURVE_LIMIT:
-            faults = np.array([self.faults(m) for m in range(1, v + 1)])
-            mem_sums = np.array(
-                [np.minimum(self._distinct, m).sum() for m in range(1, v + 1)]
+        if self._frame_stats_cache is None:
+            self._frame_stats_cache = lru_frame_stats(
+                self._distances, self._distinct, len(self.pages), self.fault_service
             )
-            sts = np.array([self.space_time(m) for m in range(1, v + 1)])
-            self._frame_stats_cache = (faults, mem_sums, sts)
-            return self._frame_stats_cache
-        # Clip distances into 1..v+1 (cold/deep references all behave
-        # identically for any queried m ≤ v) and build the joint
-        # histogram H[d-1, k-1] of (distance, distinct-so-far).
-        d = np.minimum(self._distances, v + 1)
-        k = self._distinct
-        hist = np.bincount(
-            (d - 1) * v + (k - 1), minlength=(v + 1) * v
-        ).reshape(v + 1, v)
-        m_col = np.arange(1, v + 1)[:, None]  # allocations, per row
-        k_row = np.arange(1, v + 1)[None, :]  # distinct counts, per col
-        min_mk = np.minimum(m_col, k_row)  # min(k, m) matrix
-        # faults(m) = #{d > m}
-        d_counts = hist.sum(axis=1)
-        faults = n - np.cumsum(d_counts)[:v]
-        # Σ_t min(distinct_t, m)
-        k_counts = hist.sum(axis=0)
-        mem_sums = min_mk @ k_counts
-        # Σ_{t: d_t > m} min(distinct_t, m): suffix-over-distance rows
-        suffix = np.cumsum(hist[::-1], axis=0)[::-1]
-        fault_mem = np.einsum("mk,mk->m", suffix[1 : v + 1], min_mk)
-        space_times = (mem_sums + self.fault_service * fault_mem).astype(
-            np.float64
-        )
-        self._frame_stats_cache = (faults, mem_sums, space_times)
         return self._frame_stats_cache
 
     def knee_frames(self) -> int:
@@ -348,6 +357,301 @@ class LRUSweep:
         return int(np.argmax(faults <= max_faults)) + 1
 
 
+def _suffix_sums(values: np.ndarray) -> np.ndarray:
+    """``out[k] = Σ values[k:]`` for ``k`` in ``0..len(values)``."""
+    out = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values[::-1], out=out[1:])
+    return out[::-1]
+
+
+class WorkingSetKernel:
+    """Exact Working Set indexes of one reference string, given by its
+    kept references.
+
+    Each kept reference carries its backward gap (it faults for window
+    ``τ`` iff the gap exceeds ``τ``) and its residency cap
+    ``min(forward gap, n − pos)``.  ``kept_pos`` holds the references'
+    true positions (``None``: every one of the ``n`` positions is kept —
+    the literal trace); ``weights`` the true references each one stands
+    for, weighting the working-set size sum; ``fault_weights`` (``V``)
+    the weight of each one's fault (``None``: all 1).
+
+    With the working-set size at a kept reference ``t``
+
+        D(t, τ) = #{kept s ≤ t : pos_s + min(cap_s, τ) > pos_t}
+
+    the fault term of the space-time product is
+    ``Σ_{kept t : b_t > τ} V_t · D(t, τ)``.  Writing ``g_s`` for the kept
+    index of the end of ``s``'s residency interval, ``D(t, τ) = i_t + 1 −
+    #{s : g_s ≤ i_t}``, so a point query is one prefix count of faults
+    plus one gather at the ``g_s``; the minimum search evaluates ``D``
+    itself and bounds every other window with it (:meth:`_first_min`).
+    """
+
+    def __init__(
+        self,
+        n: int,
+        backward: np.ndarray,
+        cap: np.ndarray,
+        fault_service: int,
+        kept_pos: Optional[np.ndarray] = None,
+        weights: Optional[np.ndarray] = None,
+        fault_weights: Optional[np.ndarray] = None,
+    ):
+        self.n = int(n)
+        self.fault_service = fault_service
+        m = len(backward)
+        self._kept_pos = kept_pos
+        self._fault_weights = fault_weights
+        order = np.argsort(backward, kind="stable")
+        self._sorted_backward = backward[order]
+        # Σ over faults of V_t·i_t: one lookup for any τ.
+        if fault_weights is None:
+            self._fault_suffix = None
+            self._index_suffix = _suffix_sums(order)
+        else:
+            ordered = fault_weights[order]
+            self._fault_suffix = _suffix_sums(ordered)
+            self._index_suffix = _suffix_sums(order * ordered)
+        # Σ_s weight_s·min(cap_s, τ) from the caps sorted once.
+        if weights is None:
+            self._sorted_cap = np.sort(cap)
+            self._cap_prefix = np.concatenate(([0], np.cumsum(self._sorted_cap)))
+            self._weight_prefix = None
+        else:
+            cap_order = np.argsort(cap, kind="stable")
+            self._sorted_cap = cap[cap_order]
+            w = weights[cap_order]
+            self._cap_prefix = np.concatenate(([0], np.cumsum(self._sorted_cap * w)))
+            self._weight_prefix = np.concatenate(([0], np.cumsum(w)))
+        if kept_pos is None:
+            # int32 mirrors for the per-τ passes (halves memory traffic);
+            # infinite gaps clip to 2^31-1, still above any queryable τ.
+            clip = np.int64(2**31 - 1)
+            self._backward = np.minimum(backward, clip).astype(np.int32)
+            self._cap = cap.astype(np.int32)
+            self._index = np.arange(m, dtype=np.int32)
+        else:
+            self._backward = backward
+            self._cap = cap
+
+    # -- closed-form pieces --------------------------------------------------
+
+    def _fault_counts(self, tau):
+        """Weighted fault count at ``tau`` (scalar or array) and the
+        index ``k0`` where the faults start in backward-gap order."""
+        k0 = np.searchsorted(self._sorted_backward, tau, side="right")
+        if self._fault_suffix is None:
+            return self.n - k0, k0
+        return self._fault_suffix[k0], k0
+
+    def _ws_size_sums(self, tau):
+        """Σ_t |W(t, τ)| exactly, in O(log m), for a scalar or array."""
+        split = np.searchsorted(self._sorted_cap, tau, side="right")
+        below = split if self._weight_prefix is None else self._weight_prefix[split]
+        return self._cap_prefix[split] + tau * (self.n - below)
+
+    def _ends(self, tau: int) -> np.ndarray:
+        """``g_s``: kept references strictly before the end of each kept
+        reference's residency interval ``pos_s + min(cap_s, τ)``."""
+        if self._kept_pos is None:
+            return self._index + np.minimum(self._cap, tau)
+        return np.searchsorted(
+            self._kept_pos, self._kept_pos + np.minimum(self._cap, tau)
+        )
+
+    def _fault_space(self, tau: int, faults: int, k0: int) -> int:
+        """``Σ_t V_t·D(t, τ)`` over faults, in prefix form:
+        ``Σ V_t·(i_t + 1) − Σ_s W[g_s]`` with ``W`` the suffix sums of
+        ``V·[b > τ]``, i.e. ``W[g] = faults − P[g]`` for prefix sums ``P``
+        over the ``m`` kept references."""
+        m = len(self._backward)
+        if self._fault_weights is None:
+            marks = np.empty(m + 1, dtype=np.int32)
+            marks[0] = 0
+            np.cumsum(self._backward > tau, dtype=np.int32, out=marks[1:])
+        else:
+            marks = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum(
+                np.where(self._backward > tau, self._fault_weights, 0),
+                out=marks[1:],
+            )
+        closed = int(marks[self._ends(tau)].sum(dtype=np.int64))
+        return int(self._index_suffix[k0]) - ((m - 1) * faults - closed)
+
+    def _sizes(self, tau: int) -> np.ndarray:
+        """``V_t·D(t, τ)`` at every kept reference: one bincount of the
+        interval ends and one cumsum."""
+        m = len(self._backward)
+        closed = np.cumsum(np.bincount(self._ends(tau), minlength=m + 1)[:m])
+        sizes = np.arange(1, m + 1, dtype=np.int64) - closed
+        if self._fault_weights is not None:
+            sizes *= self._fault_weights
+        return sizes
+
+    # -- queries -------------------------------------------------------------
+
+    def faults(self, tau: int) -> int:
+        _check_tau(tau)
+        return int(self._fault_counts(min(tau, self.n))[0])
+
+    def mem(self, tau: int) -> float:
+        _check_tau(tau)
+        if not self.n:
+            return 0.0
+        return int(self._ws_size_sums(min(tau, self.n))) / self.n
+
+    def lifetime(self, tau: int) -> float:
+        """Mean references between faults at window ``tau``."""
+        faults = self.faults(tau)
+        if faults == 0:
+            return float("inf")
+        return self.n / faults
+
+    def mean_frames(self, tau: int) -> int:
+        """Mean working-set size at ``tau`` rounded up to whole frames
+        (≥ 1 for a non-empty string)."""
+        if not self.n:
+            return 1
+        return max(1, int(np.ceil(self.mem(tau))))
+
+    def result(self, tau: int, program: str) -> SimulationResult:
+        _check_tau(tau)
+        tau_eff = min(tau, self.n)  # every gap and cap is ≤ n
+        faults, k0 = self._fault_counts(tau_eff)
+        faults, k0 = int(faults), int(k0)
+        ws_sum = int(self._ws_size_sums(tau_eff))
+        fault_space = self._fault_space(tau_eff, faults, k0)
+        return SimulationResult(
+            policy="WS",
+            program=program,
+            page_faults=faults,
+            references=self.n,
+            mem_average=ws_sum / self.n if self.n else 0.0,
+            space_time=float(ws_sum + self.fault_service * fault_space),
+            parameter=tau,
+            fault_service=self.fault_service,
+        )
+
+    def default_taus(self, count: int = 48) -> List[int]:
+        """A geometric grid of window sizes in [1, R]."""
+        n = max(self.n, 2)
+        grid = np.unique(np.round(np.geomspace(1, n, num=count)).astype(np.int64))
+        return [int(t) for t in grid]
+
+    def min_space_time_tau(self, taus: Iterable[int]) -> int:
+        """The window minimizing ST over ``taus`` (first wins on ties),
+        then refined over up to 33 evenly spaced windows between its
+        grid neighbours; a refined window replaces it only when strictly
+        better, and an empty refine range keeps it."""
+        candidates = [int(t) for t in taus]
+        if not candidates:
+            raise ValueError("need at least one window")
+        for tau in candidates:
+            _check_tau(tau)
+        index, best = self._first_min(candidates, np.inf)
+        tau = candidates[index]
+        lo = candidates[index - 1] if index > 0 else max(1, tau // 2)
+        hi = candidates[index + 1] if index + 1 < len(candidates) else tau * 2
+        step = max(1, (hi - lo) // 32)
+        refine = list(range(lo, hi + 1, step))
+        r_index, _ = self._first_min(refine, best)
+        return tau if r_index is None else refine[r_index]
+
+    def _first_min(self, taus: List[int], bar: float):
+        """``(index, ST)`` of the first window in ``taus`` with minimal
+        ST strictly below ``bar`` (``(None, bar)`` when there is none),
+        by branch and bound.
+
+        Every fault lies in its own working set, so ``ST(τ) ≥ ws(τ) +
+        fs·F(τ)``.  An exact evaluation at ``τ_a`` yields ``D(·, τ_a)``,
+        and ``D(t, ·)`` never decreases with the window while shrinking
+        it by one reference loses at most one page, so for any ``τ``
+
+            Σ_{b_t > τ} V_t·D(t, τ) ≥ Σ_{b_t > τ} V_t·D(t, τ_a)
+                                        − max(0, τ_a − τ)·F(τ).
+
+        Candidates are evaluated in ascending-bound order; one whose
+        bound exceeds the best exact value (or equals it at a later
+        index) can neither win nor tie first, and is never evaluated.
+        Sums are exact in float64 (ST is a float64 everywhere).
+        """
+        fs = self.fault_service
+        eff = np.minimum(np.asarray(taus, dtype=np.int64), self.n)
+        faults = self._fault_counts(eff)[0].astype(np.float64)
+        ws = self._ws_size_sums(eff).astype(np.float64)
+        bound = ws + fs * faults
+        windows, slot = np.unique(eff, return_inverse=True)
+        # Fault sets nest in τ: t faults at windows[c] iff c < bucket[t].
+        bucket = np.searchsorted(windows, self._backward, side="left")
+        index = np.arange(len(eff))
+        unseen = np.ones(len(eff), dtype=bool)
+        best_index, best = -1, bar
+        while True:
+            live = unseen & (
+                (bound < best) | ((bound == best) & (index < best_index))
+            )
+            if not live.any():
+                break
+            c = int(index[live][np.argmin(bound[live])])
+            unseen[c] = False
+            per_bucket = np.bincount(
+                bucket, weights=self._sizes(int(eff[c])), minlength=len(windows) + 1
+            )
+            # Σ_{b_t > τ} V_t·D(t, τ_c) at every candidate τ
+            anchored = np.cumsum(per_bucket[::-1])[::-1][slot + 1]
+            st = ws[c] + fs * anchored[c]
+            if st < best or (st == best and c < best_index):
+                best_index, best = c, st
+            shrink = np.maximum(eff[c] - eff, 0)
+            bound = np.maximum(bound, ws + fs * self._bound(faults, anchored, shrink))
+        return (None if best_index < 0 else best_index), best
+
+    @staticmethod
+    def _bound(faults: np.ndarray, anchored: np.ndarray, shrink: np.ndarray):
+        """Lower bound on each window's fault term from one anchor:
+        every fault's working set holds the fault itself, and it holds
+        at most ``shrink`` fewer pages than at the anchor."""
+        return np.maximum(faults, anchored - shrink * faults)
+
+    def tau_for_mem(self, target_mem: float) -> int:
+        """Window whose MEM best matches ``target_mem``; mean WS size is
+        non-decreasing in τ, so bisection applies."""
+        lo, hi = 1, max(self.n, 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.mem(mid) < target_mem:
+                lo = mid + 1
+            else:
+                hi = mid
+        # lo is the first τ reaching target; its neighbor below may be closer.
+        best = lo
+        if lo > 1 and abs(self.mem(lo - 1) - target_mem) < abs(
+            self.mem(lo) - target_mem
+        ):
+            best = lo - 1
+        return best
+
+    def min_tau_with_faults_at_most(self, max_faults: int) -> Optional[int]:
+        """Smallest window generating at most ``max_faults`` faults
+        (WS fault counts are non-increasing in τ)."""
+        lo, hi = 1, max(self.n, 1)
+        if self.faults(hi) > max_faults:
+            return None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.faults(mid) <= max_faults:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+
+def _check_tau(tau: int) -> None:
+    if tau < 1:
+        raise ValueError("tau must be >= 1")
+
+
 class WSSweep:
     """All-window-sizes Working Set analysis of one reference string."""
 
@@ -363,8 +667,6 @@ class WSSweep:
         self.fault_service = fault_service
         self.pages = _as_pages(trace_or_pages)
         self._compute_gaps()
-        self._cache: Dict[int, SimulationResult] = {}
-        self._min_st_cache: Optional[SimulationResult] = None
 
     def _compute_gaps(self) -> None:
         n = len(self.pages)
@@ -383,31 +685,16 @@ class WSSweep:
             forward[pos[:-1][same]] = gaps[same]
         self._backward = backward
         self._forward = forward
-        self._init_point_helpers()
+        self._init_kernel()
 
-    def _init_point_helpers(self) -> None:
-        n = len(self.pages)
-        order = np.argsort(self._backward, kind="stable")
-        self._sorted_backward = self._backward[order]
-        # Suffix sums of reference positions in backward-gap order:
-        # Σ of fault positions for any τ is one searchsorted away.
-        pos_suffix = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(order[::-1], out=pos_suffix[1:])
-        self._fault_pos_suffix = pos_suffix[::-1]
+    def _init_kernel(self) -> None:
         # A reference at s keeps its page resident for
-        # min(forward_s, τ, n - s) time steps; the τ-independent cap
-        # sorted once turns Σ_s min(cap_s, τ) into two lookups.
+        # min(forward_s, τ, n - s) time steps.
+        n = len(self.pages)
         cap = np.minimum(self._forward, n - np.arange(n, dtype=np.int64))
-        self._sorted_cap = np.sort(cap)
-        self._cap_prefix = np.concatenate(
-            ([0], np.cumsum(self._sorted_cap))
-        )
-        # int32 mirrors for the per-τ pass (halves memory traffic);
-        # infinite gaps clip to 2^31-1, still above any queryable τ.
-        clip = np.int64(2**31 - 1)
-        self._backward32 = np.minimum(self._backward, clip).astype(np.int32)
-        self._cap32 = cap.astype(np.int32)
-        self._arange32 = np.arange(n, dtype=np.int32)
+        self._kernel = WorkingSetKernel(n, self._backward, cap, self.fault_service)
+        self._cache: Dict[int, SimulationResult] = {}
+        self._min_st_cache: Optional[SimulationResult] = None
 
     # -- persistence ---------------------------------------------------------
 
@@ -433,219 +720,67 @@ class WSSweep:
         sweep.pages = np.asarray(arrays["pages"], dtype=np.int32)
         sweep._backward = np.asarray(arrays["backward"], dtype=np.int64)
         sweep._forward = np.asarray(arrays["forward"], dtype=np.int64)
-        sweep._init_point_helpers()
-        sweep._cache = {}
-        sweep._min_st_cache = None
+        sweep._init_kernel()
         return sweep
-
-    def _ws_size_sum(self, tau: int) -> int:
-        """Σ_t |W(t, τ)| exactly, in O(log R)."""
-        n = len(self.pages)
-        split = int(np.searchsorted(self._sorted_cap, tau, side="right"))
-        return int(self._cap_prefix[split]) + tau * (n - split)
-
-    def _analyze(self, tau: int) -> SimulationResult:
-        if tau < 1:
-            raise ValueError("tau must be >= 1")
-        cached = self._cache.get(tau)
-        if cached is not None:
-            return cached
-        n = len(self.pages)
-        if n == 0:
-            result = SimulationResult(
-                policy="WS",
-                program=self.program,
-                page_faults=0,
-                references=0,
-                mem_average=0.0,
-                space_time=0.0,
-                parameter=tau,
-                fault_service=self.fault_service,
-            )
-            self._cache[tau] = result
-            return result
-        # All three indexes have closed forms over the gap arrays; the
-        # only O(R) work left is one prefix count of faults plus one
-        # gather at the interval ends (exact, integer arithmetic).
-        tau_eff = min(tau, n)  # every gap and cap is ≤ n
-        k0 = int(np.searchsorted(self._sorted_backward, tau_eff, side="right"))
-        faults = n - k0
-        ws_sum = self._ws_size_sum(tau_eff)
-        # Σ_{t fault} |W(t,τ)| = Σ_s (#faults < e_s) - Σ_s (#faults < s)
-        # where e_s = s + min(cap_s, τ); the second term telescopes to
-        # (n-1)·faults - Σ(fault positions).
-        prefix = np.empty(n + 1, dtype=np.int32)
-        prefix[0] = 0
-        np.cumsum(self._backward32 > tau_eff, dtype=np.int32, out=prefix[1:])
-        ends = self._arange32 + np.minimum(self._cap32, tau_eff)
-        sum_at_ends = int(prefix[ends].sum(dtype=np.int64))
-        sum_at_starts = (n - 1) * faults - int(self._fault_pos_suffix[k0])
-        fault_space = sum_at_ends - sum_at_starts
-        result = SimulationResult(
-            policy="WS",
-            program=self.program,
-            page_faults=faults,
-            references=n,
-            mem_average=ws_sum / n,
-            space_time=float(ws_sum + self.fault_service * fault_space),
-            parameter=tau,
-            fault_service=self.fault_service,
-        )
-        self._cache[tau] = result
-        return result
 
     # -- point queries -----------------------------------------------------------
 
     def faults(self, tau: int) -> int:
-        if tau < 1:
-            raise ValueError("tau must be >= 1")
-        cached = self._cache.get(tau)
-        if cached is not None:
-            return cached.page_faults
-        n = len(self.pages)
-        return n - int(
-            np.searchsorted(self._sorted_backward, tau, side="right")
-        )
+        return self._kernel.faults(tau)
 
     def mem(self, tau: int) -> float:
-        if tau < 1:
-            raise ValueError("tau must be >= 1")
-        cached = self._cache.get(tau)
-        if cached is not None:
-            return cached.mem_average
-        n = len(self.pages)
-        if n == 0:
-            return 0.0
-        return self._ws_size_sum(tau) / n
+        return self._kernel.mem(tau)
 
     def space_time(self, tau: int) -> float:
-        return self._analyze(tau).space_time
+        return self.result(tau).space_time
 
     def result(self, tau: int) -> SimulationResult:
-        return self._analyze(tau)
+        cached = self._cache.get(tau)
+        if cached is None:
+            cached = self._cache[tau] = self._kernel.result(tau, self.program)
+        return cached
 
     def lifetime(self, tau: int) -> float:
         """Mean references between faults at window ``tau``."""
-        faults = self.faults(tau)
-        if faults == 0:
-            return float("inf")
-        return len(self.pages) / faults
+        return self._kernel.lifetime(tau)
 
     def mean_frames(self, tau: int) -> int:
         """The WS load-control estimate: mean working-set size at
         window ``tau``, rounded up to whole frames (≥ 1 for a
         non-empty string) — what a WS-style admission controller
         reserves for the process."""
-        if not len(self.pages):
-            return 1
-        return max(1, int(np.ceil(self.mem(tau))))
+        return self._kernel.mean_frames(tau)
 
     # -- sweep helpers ---------------------------------------------------------------
 
     def default_taus(self, count: int = 48) -> List[int]:
         """A geometric grid of window sizes in [1, R]."""
-        n = max(len(self.pages), 2)
-        grid = np.unique(
-            np.round(np.geomspace(1, n, num=count)).astype(np.int64)
-        )
-        return [int(t) for t in grid]
+        return self._kernel.default_taus(count)
 
     def curve(self, taus: Optional[Iterable[int]] = None) -> List[SimulationResult]:
         if taus is None:
             taus = self.default_taus()
         return [self.result(t) for t in taus]
 
-    def _st_many(self, taus: np.ndarray) -> np.ndarray:
-        """Exact ST for a whole batch of windows in a few array passes.
-
-        Same integer arithmetic as :meth:`_analyze`, vectorized over τ
-        (chunked to bound the R×T working set); every entry equals the
-        corresponding ``space_time(tau)``.
-        """
-        n = len(self.pages)
-        taus = np.asarray(taus, dtype=np.int64)
-        if n == 0:
-            return np.zeros(len(taus), dtype=np.float64)
-        tau_eff = np.minimum(taus, n)
-        k0 = np.searchsorted(self._sorted_backward, tau_eff, side="right")
-        faults = n - k0
-        split = np.searchsorted(self._sorted_cap, tau_eff, side="right")
-        ws_sum = self._cap_prefix[split] + tau_eff * (n - split)
-        sum_at_starts = (n - 1) * faults - self._fault_pos_suffix[k0]
-        sum_at_ends = np.empty(len(taus), dtype=np.int64)
-        tau32 = tau_eff.astype(np.int32)
-        for lo in range(0, len(taus), 16):
-            block = tau32[lo : lo + 16, None]
-            prefix = np.cumsum(
-                self._backward32[None, :] > block, axis=1, dtype=np.int32
-            )
-            # e_s = s + min(cap_s, τ) ≥ 1, so prefix[e_s - 1] is the
-            # fault count strictly before the interval end.
-            ends = self._arange32 + np.minimum(self._cap32, block)
-            rows = np.arange(len(block), dtype=np.int64)[:, None] * n
-            gathered = prefix.ravel()[(ends - 1) + rows]
-            sum_at_ends[lo : lo + 16] = gathered.sum(axis=1, dtype=np.int64)
-        fault_space = sum_at_ends - sum_at_starts
-        return (ws_sum + self.fault_service * fault_space).astype(np.float64)
-
     def min_space_time(self, taus: Optional[Iterable[int]] = None) -> SimulationResult:
         """The window minimizing ST over a grid (refined locally).
 
         The default-grid optimum is memoized (and persisted with the
-        artifact cache) — the ~80-window scan is the dominant cost of a
-        warm Table 2 run otherwise.
+        artifact cache), so warm runs never search.
         """
         if taus is None and self._min_st_cache is not None:
             return self._min_st_cache
-        candidates = list(taus) if taus is not None else self.default_taus()
-        sts = self._st_many(np.array(candidates, dtype=np.int64))
-        index = int(np.argmin(sts))
-        best = self.result(candidates[index])
-        # Local refinement around the best grid point.
-        tau = int(best.parameter)
-        lo = candidates[index - 1] if index > 0 else max(1, tau // 2)
-        hi = candidates[index + 1] if index + 1 < len(candidates) else tau * 2
-        step = max(1, (hi - lo) // 32)
-        refine = list(range(lo, hi + 1, step))
-        refine_sts = self._st_many(np.array(refine, dtype=np.int64))
-        r_index = int(np.argmin(refine_sts))
-        if refine_sts[r_index] < best.space_time:
-            best = self.result(refine[r_index])
+        grid = self.default_taus() if taus is None else taus
+        best = self.result(self._kernel.min_space_time_tau(grid))
         if taus is None:
             self._min_st_cache = best
         return best
 
     def tau_for_mem(self, target_mem: float) -> int:
         """Window whose MEM best matches ``target_mem`` (paper Table 3:
-        "by adjusting the WS parameter, the window size τ").
-
-        Mean WS size is non-decreasing in τ, so bisection applies.
-        """
-        lo, hi = 1, max(len(self.pages), 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.mem(mid) < target_mem:
-                lo = mid + 1
-            else:
-                hi = mid
-        # lo is the first τ reaching target; its neighbor below may be closer.
-        best = lo
-        if lo > 1 and abs(self.mem(lo - 1) - target_mem) < abs(
-            self.mem(lo) - target_mem
-        ):
-            best = lo - 1
-        return best
+        "by adjusting the WS parameter, the window size τ")."""
+        return self._kernel.tau_for_mem(target_mem)
 
     def min_tau_with_faults_at_most(self, max_faults: int) -> Optional[int]:
-        """Smallest window generating at most ``max_faults`` faults
-        (WS fault counts are non-increasing in τ)."""
-        lo, hi = 1, max(len(self.pages), 1)
-        if self.faults(hi) > max_faults:
-            return None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.faults(mid) <= max_faults:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        """Smallest window generating at most ``max_faults`` faults."""
+        return self._kernel.min_tau_with_faults_at_most(max_faults)

@@ -109,13 +109,13 @@ class TestSurrogateAlgebra:
         a, b = sym.min_space_time(), exact.min_space_time()
         assert (a.parameter, a.space_time) == (b.parameter, b.space_time)
 
-    def test_batched_st_matches_scalar(self):
-        pages, runs = self._runtrace_like()
-        sym = SymbolicWS(Surrogate(pages, runs), program="SYN")
-        taus = np.arange(1, len(pages) + 10, 3, dtype=np.int64)
-        batch = sym._st_many(taus)
-        scalar = np.array([sym.space_time(int(t)) for t in taus])
-        np.testing.assert_array_equal(batch, scalar)
+    def test_min_space_time_best_first_in_descending_list(self):
+        # τ=40 wins at index 0 and the refine range [40 // 2, 5] is
+        # empty: the grid optimum stands (it used to raise ValueError)
+        pages = np.array([0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3, 4, 0, 1] * 20)
+        sym = SymbolicWS(Surrogate(pages, []))
+        assert sym.space_time(40) < min(sym.space_time(5), sym.space_time(1))
+        assert sym.min_space_time([40, 5, 1]) == sym.result(40)
 
 
 class TestSymbolicCD:

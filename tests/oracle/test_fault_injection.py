@@ -4,9 +4,13 @@ out as reproducers — the end-to-end acceptance test for the oracle."""
 import dataclasses
 import json
 
+import numpy as np
+
+from repro.oracle.generator import generate_source
 from repro.oracle.runner import verify
 from repro.tracegen.compile import TraceCompiler, _LockRefs
 from repro.vm import fastsim
+from repro.vm.analyzers import WorkingSetKernel
 
 
 def test_clean_run_writes_nothing(tmp_path):
@@ -67,6 +71,38 @@ def test_broken_lock_resolution_is_caught(tmp_path, monkeypatch):
     assert not report.ok
     assert {f.check for f in report.failures} == {"trace-directives"}
     assert all("] locks: " in f.detail for f in report.failures)
+
+
+def test_lock_after_batch_without_last_page_is_caught(tmp_path, monkeypatch):
+    real = TraceCompiler._commit
+
+    def no_write_back(self, batch):
+        batch.last_pages = None  # LOCKs after the batch read a stale page
+        return real(self, batch)
+
+    monkeypatch.setattr(TraceCompiler, "_commit", no_write_back)
+    # the first seed carrying the generator's LOCK-after-batch shape
+    seed = next(s for s in range(200) if ", D(" in generate_source(s))
+    report = verify(
+        seeds=1, start_seed=seed, out_dir=tmp_path, deep=False, shrink=False
+    )
+    assert not report.ok
+    assert report.failures[0].check == "trace-directives"
+    assert "] locks: " in report.failures[0].detail
+
+
+def test_over_tight_ws_search_bound_is_caught_and_shrunk(tmp_path, monkeypatch):
+    def doubled(faults, anchored, shrink):
+        return np.maximum(faults, 2 * anchored - shrink * faults)
+
+    monkeypatch.setattr(WorkingSetKernel, "_bound", staticmethod(doubled))
+    # seeds 40, 41 and 146 are the first 200 seeds' cases this prunes wrongly
+    report = verify(seeds=1, start_seed=40, out_dir=tmp_path, deep=False)
+    assert not report.ok
+    failure = report.failures[0]
+    assert failure.check == "metric-ws-min"
+    assert (tmp_path / "seed000040-metric.f").read_text() == failure.shrunk_source
+    assert len(failure.shrunk_source) < len(failure.source)
 
 
 def test_time_budget_stops_early_but_runs_at_least_one_seed(tmp_path):

@@ -150,6 +150,13 @@ class TestWSSweepBasics:
         for t in sweep.default_taus():
             assert best.space_time <= sweep.space_time(t) + 1e-9
 
+    def test_min_space_time_best_first_in_descending_list(self):
+        # τ=40 wins at index 0, so the refine range [40 // 2, 5] is
+        # empty: the grid optimum stands (it used to raise ValueError)
+        sweep = WSSweep(make_trace([0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3, 4, 0, 1] * 20))
+        assert sweep.space_time(40) < min(sweep.space_time(5), sweep.space_time(1))
+        assert sweep.min_space_time([40, 5, 1]) == sweep.result(40)
+
     def test_results_cached(self):
         sweep = WSSweep(random_trace(12))
         assert sweep.result(17) is sweep.result(17)
