@@ -4,8 +4,7 @@ Measures what the one-pass engine buys over the event-driven simulator
 on the same large real trace bench_simulator.py uses (CONDUCT, ~175k
 references): per-policy streaming throughput, the one-pass multi-policy
 amortisation (a pair, then an eight-request LRU/FIFO sweep fed by a
-single scan), off-disk replay over a sharded trace, and — when numba is
-importable — the jitted backend against the vectorized numpy one.
+single scan), and off-disk replay over a sharded trace.
 
 ``python benchmarks/bench_stream.py`` re-measures the headline numbers
 and rewrites the ``stream`` section of BENCH_simulator.json in place;
@@ -17,7 +16,7 @@ import pytest
 from repro.experiments.runner import artifacts_for
 from repro.vm.policies import FIFOPolicy, LRUPolicy, WorkingSetPolicy
 from repro.vm.simulator import simulate
-from repro.vm.stream import StreamRequest, numba_available, stream_simulate
+from repro.vm.stream import StreamRequest, stream_simulate
 
 SWEEP8 = [
     *(StreamRequest.lru(m) for m in (8, 16, 32, 64)),
@@ -54,11 +53,6 @@ def bench_stream_ws(benchmark, conduct_trace):
     _policy_rate(benchmark, conduct_trace, 1)
 
 
-def bench_stream_cd(benchmark, conduct_trace):
-    benchmark(stream_simulate, conduct_trace, [StreamRequest.cd()])
-    _policy_rate(benchmark, conduct_trace, 1)
-
-
 def bench_stream_pair_lru_fifo(benchmark, conduct_trace):
     """Two policies from one scan — the smallest one-pass win."""
     requests = [StreamRequest.lru(32), StreamRequest.fifo(32)]
@@ -79,18 +73,6 @@ def bench_stream_sharded_lru(benchmark, conduct_trace, tmp_path):
     save_trace_sharded(conduct_trace, tmp_path / "conduct", shard_size=65536)
     sharded = open_sharded_trace(tmp_path / "conduct")
     benchmark(stream_simulate, sharded, [StreamRequest.lru(32)])
-    _policy_rate(benchmark, conduct_trace, 1)
-
-
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def bench_stream_numba_lru(benchmark, conduct_trace):
-    stream_simulate(conduct_trace, [StreamRequest.lru(32)], backend="numba")
-    benchmark(
-        stream_simulate,
-        conduct_trace,
-        [StreamRequest.lru(32)],
-        backend="numba",
-    )
     _policy_rate(benchmark, conduct_trace, 1)
 
 
@@ -165,14 +147,13 @@ def write_stream_section(path="BENCH_simulator.json"):
     import sys
 
     trace = artifacts_for("CONDUCT").trace
-    section = {"backend": "numpy", "numba_available": numba_available()}
+    section = {}
 
     one_pass = {}
     singles = {
         "LRU": [StreamRequest.lru(32)],
         "FIFO": [StreamRequest.fifo(32)],
         "WS": [StreamRequest.ws(2000)],
-        "CD": [StreamRequest.cd()],
         "LRU+FIFO": [StreamRequest.lru(32), StreamRequest.fifo(32)],
         "sweep8": list(SWEEP8),
     }
@@ -227,18 +208,6 @@ def write_stream_section(path="BENCH_simulator.json"):
         "growth_ratio": round(rss4 / rss1, 2),
     }
 
-    if numba_available():
-        stream_simulate(trace, [StreamRequest.lru(32)], backend="numba")
-        secs = _time(
-            lambda: stream_simulate(
-                trace, [StreamRequest.lru(32)], backend="numba"
-            )
-        )
-        section["numba_lru"] = {
-            "wall_sec": round(secs, 4),
-            "refs_per_sec": round(trace.length / secs),
-        }
-
     try:
         with open(path) as fh:
             summary = json.load(fh)
@@ -275,7 +244,6 @@ def quick_check(baseline_path="BENCH_simulator.json", slowdown_factor=4.0):
         "LRU": [StreamRequest.lru(32)],
         "FIFO": [StreamRequest.fifo(32)],
         "WS": [StreamRequest.ws(2000)],
-        "CD": [StreamRequest.cd()],
         "sweep8": list(SWEEP8),
     }
     warnings = 0
@@ -296,17 +264,6 @@ def quick_check(baseline_path="BENCH_simulator.json", slowdown_factor=4.0):
             f"quick: {name:8s} {measured:>12,} policy-refs/s "
             f"(baseline {expected:,}) {status}"
         )
-    if numba_available():
-        stream_simulate(trace, [StreamRequest.lru(32)], backend="numba")
-        secs = _time(
-            lambda: stream_simulate(
-                trace, [StreamRequest.lru(32)], backend="numba"
-            ),
-            repeat=2,
-        )
-        print(f"quick: numba    {round(trace.length / secs):>12,} refs/s")
-    else:
-        print("quick: numba backend not installed; skipped")
     if warnings:
         print(
             f"quick: {warnings} streaming config(s) below threshold — "

@@ -76,6 +76,17 @@ from repro.vm.simulator import simulate
 from repro.workloads import all_workloads, get_workload
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_program(spec: str):
     """A workload name or a path to a mini-FORTRAN source file."""
     path = Path(spec)
@@ -264,19 +275,19 @@ def _trace_with_policy(args) -> int:
 def _make_policy(args):
     name = args.policy.upper()
     if name == "LRU":
-        return LRUPolicy(frames=args.frames or 8)
+        return LRUPolicy(frames=args.frames)
     if name == "FIFO":
-        return FIFOPolicy(frames=args.frames or 8)
+        return FIFOPolicy(frames=args.frames)
     if name == "CLOCK":
         from repro.vm.policies import ClockPolicy
 
-        return ClockPolicy(frames=args.frames or 8)
+        return ClockPolicy(frames=args.frames)
     if name == "OPT":
-        return OPTPolicy(frames=args.frames or 8)
+        return OPTPolicy(frames=args.frames)
     if name == "WS":
-        return WorkingSetPolicy(tau=args.tau or 1000)
+        return WorkingSetPolicy(tau=args.tau)
     if name == "PFF":
-        return PFFPolicy(threshold=args.tau or 1000)
+        return PFFPolicy(threshold=args.tau)
     if name == "CD":
         return CDPolicy(
             CDConfig(pi_cap=args.pi_cap, memory_limit=args.memory_limit)
@@ -290,35 +301,23 @@ def _stream_request(args):
 
     name = args.policy.upper()
     if name == "LRU":
-        return StreamRequest.lru(args.frames or 8)
+        return StreamRequest.lru(args.frames)
     if name == "FIFO":
-        return StreamRequest.fifo(args.frames or 8)
+        return StreamRequest.fifo(args.frames)
     if name == "WS":
-        return StreamRequest.ws(args.tau or 1000)
-    if name == "CD":
-        return StreamRequest.cd(
-            CDConfig(pi_cap=args.pi_cap, memory_limit=args.memory_limit)
-        )
+        return StreamRequest.ws(args.tau)
     raise SystemExit(
-        f"error: --stream supports LRU, FIFO, WS, and CD (got {args.policy!r})"
+        f"error: --stream supports LRU, FIFO, and WS (got {args.policy!r})"
     )
 
 
 def _cmd_simulate(args) -> int:
+    request = _stream_request(args) if args.stream else None
     trace = _replay_trace(args.program, args.locks)
-    if args.stream:
-        from repro.vm.stream import BackendUnavailable, stream_simulate
+    if request is not None:
+        from repro.vm.stream import stream_simulate
 
-        try:
-            result = stream_simulate(
-                trace,
-                [_stream_request(args)],
-                backend=args.backend,
-                chunk_size=args.chunk_size,
-            )[0]
-        except BackendUnavailable as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+        result = stream_simulate(trace, [request], chunk_size=args.chunk_size)[0]
         print(result.describe())
         return 0
     policy = _make_policy(args)
@@ -433,21 +432,12 @@ def _cmd_table(args) -> int:
                 "error: --timelines needs --mode trace (the static tier "
                 "replays no events)"
             )
-    if args.backend:
-        # resolve eagerly so an unavailable backend fails before any work
-        from repro.vm.stream import BackendUnavailable, resolve_backend
-
-        try:
-            resolve_backend(args.backend)
-        except BackendUnavailable as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
     tdir = None
     if args.timelines:
         tdir = Path(args.timelines)
         tdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    with replay_options(timelines=tdir, backend=args.backend):
+    with replay_options(timelines=tdir):
         if args.mode == "static":
             from repro.experiments.table2 import render_table2
 
@@ -811,6 +801,25 @@ def _cmd_shutdown(args) -> int:
     return 0
 
 
+def _add_policy_arguments(p) -> None:
+    """The policy parameters ``trace --policy`` and ``simulate`` share."""
+    p.add_argument(
+        "--frames",
+        type=_positive_int,
+        default=8,
+        help="frames for LRU/FIFO/CLOCK/OPT (default 8)",
+    )
+    p.add_argument(
+        "--tau",
+        type=_positive_int,
+        default=1000,
+        help="window for WS / threshold for PFF (default 1000)",
+    )
+    p.add_argument("--pi-cap", type=_positive_int, dest="pi_cap")
+    p.add_argument("--memory-limit", type=_positive_int, dest="memory_limit")
+    p.add_argument("--locks", action="store_true", help="execute LOCK/UNLOCK")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdmm",
@@ -872,11 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="replay under this policy with event tracing on",
     )
-    p.add_argument("--frames", type=int, help="frames for LRU/FIFO/OPT")
-    p.add_argument("--tau", type=int, help="window for WS / threshold for PFF")
-    p.add_argument("--pi-cap", type=int, dest="pi_cap")
-    p.add_argument("--memory-limit", type=int, dest="memory_limit")
-    p.add_argument("--locks", action="store_true", help="execute LOCK/UNLOCK")
+    _add_policy_arguments(p)
     p.add_argument(
         "--events", default=None, help="write the event stream as JSONL here"
     )
@@ -893,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--sample-every",
-        type=int,
+        type=_positive_int,
         default=None,
         dest="sample_every",
         help="resident-set sample interval in references "
@@ -904,25 +909,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="replay under one policy")
     p.add_argument("program")
     p.add_argument("--policy", default="CD")
-    p.add_argument("--frames", type=int, help="frames for LRU/FIFO/OPT")
-    p.add_argument("--tau", type=int, help="window for WS / threshold for PFF")
-    p.add_argument("--pi-cap", type=int, dest="pi_cap")
-    p.add_argument("--memory-limit", type=int, dest="memory_limit")
-    p.add_argument("--locks", action="store_true", help="execute LOCK/UNLOCK")
+    _add_policy_arguments(p)
     p.add_argument(
         "--stream",
         action="store_true",
-        help="replay through the one-pass streaming engine (LRU/FIFO/WS/CD)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["numpy", "numba", "auto"],
-        default=None,
-        help="streaming kernel backend (default: REPRO_BACKEND or auto)",
+        help="replay through the one-pass streaming engine (LRU/FIFO/WS)",
     )
     p.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=None,
         dest="chunk_size",
         help="streaming chunk size in references (default 65536)",
@@ -956,13 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist per-cell CD event timelines (JSONL) under this "
         "directory (default results/timelines)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["numpy", "numba", "auto"],
-        default=None,
-        help="streaming kernel backend for one-pass replays "
-        "(overrides REPRO_BACKEND for the run)",
     )
     p.add_argument(
         "--mode",

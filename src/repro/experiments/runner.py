@@ -86,28 +86,22 @@ class StageStats:
 STATS = StageStats()
 
 
-#: ``table --timelines`` / ``--backend`` for the calls made inside
-#: :func:`replay_options`; None defers to the environment
+#: ``table --timelines`` for the calls made inside :func:`replay_options`;
+#: None defers to the environment
 _TIMELINES: ContextVar[Optional[Path]] = ContextVar("timelines", default=None)
-_BACKEND: ContextVar[Optional[str]] = ContextVar("backend", default=None)
 
 
 @contextmanager
-def replay_options(
-    timelines: Optional[Path] = None, backend: Optional[str] = None
-):
+def replay_options(timelines: Optional[Path] = None):
     """Within the block, CD replays write their timelines under
-    ``timelines`` and one-pass replays use ``backend`` — the ``table
-    --timelines`` and ``--backend`` flags.  Nothing outlives the block
-    (``os.environ`` is never written); None keeps the
-    ``REPRO_TIMELINES_DIR`` / ``REPRO_BACKEND`` behaviour."""
-    timelines_token = _TIMELINES.set(timelines)
-    backend_token = _BACKEND.set(backend)
+    ``timelines`` — the ``table --timelines`` flag.  Nothing outlives
+    the block (``os.environ`` is never written); None keeps the
+    ``REPRO_TIMELINES_DIR`` behaviour."""
+    token = _TIMELINES.set(timelines)
     try:
         yield
     finally:
-        _BACKEND.reset(backend_token)
-        _TIMELINES.reset(timelines_token)
+        _TIMELINES.reset(token)
 
 
 def timelines_dir() -> Optional[Path]:
@@ -181,31 +175,19 @@ class WorkloadArtifacts:
         STATS.add("simulate", time.perf_counter() - t0, len(self.trace.pages))
         return result
 
-    def policy_results(
-        self,
-        requests,
-        backend: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-    ) -> List[SimulationResult]:
+    def policy_results(self, requests) -> List[SimulationResult]:
         """One-pass multi-policy replay of this workload's trace.
 
         ``requests`` are :class:`repro.vm.stream.StreamRequest` items;
         a single scan of the trace feeds every policy at once instead
         of one full event-driven replay per policy.  Results are exact
         (the oracle's ``stream-*`` checks pin them to the event-driven
-        simulator); non-streamable CD requests fall back transparently.
-        ``backend`` defaults to the one :func:`replay_options` set, then
-        to ``REPRO_BACKEND``.
+        simulator).
         """
         from repro.vm.stream import stream_simulate
 
         t0 = time.perf_counter()
-        results = stream_simulate(
-            self.trace,
-            requests,
-            backend=backend or _BACKEND.get(),
-            chunk_size=chunk_size,
-        )
+        results = stream_simulate(self.trace, requests)
         STATS.add(
             "simulate",
             time.perf_counter() - t0,

@@ -24,8 +24,8 @@ identified by the ``check`` field of a :class:`Divergence`):
   directive event traces back to a static directive, and a clean
   static lock balance (rule CD103) implies an exactly balanced
   dynamic pin ledger;
-* ``stream-*`` — the one-pass streaming engine against the per-policy
-  event-driven replays: metrics (PF, MEM, ST) across chunk sizes, the
+* ``stream-*`` — the one-pass streaming engine (LRU, FIFO, WS) against
+  the per-policy references: metrics (PF, MEM, ST) across chunk sizes, the
   per-fault event stream (time, page, residency), and the sharded
   on-disk round trip;
 * ``static-*`` — the trace-free locality engine: its run-structured
@@ -700,14 +700,6 @@ def _stream_requests(trace: ReferenceTrace):
     ws = WSSweep(trace)
     for tau in sorted({1, 3, max(1, n // 3), n + 5}):
         pairs.append((StreamRequest.ws(tau), ws.result(tau)))
-    for config in (CDConfig(), CDConfig(pi_cap=1), CDConfig(min_allocation=3)):
-        if fastsim.cd_fast_applicable(trace, config):
-            pairs.append(
-                (
-                    StreamRequest.cd(config),
-                    fastsim.simulate_cd_fast(trace, config),
-                )
-            )
     return pairs
 
 
@@ -715,15 +707,15 @@ def check_stream_metrics(
     trace: ReferenceTrace, label: str
 ) -> List[Divergence]:
     """One-pass streaming metrics ≡ event-driven, at several chunkings."""
-    from repro.vm.stream import StreamEngine
+    from repro.vm.stream import stream_simulate
 
     out: List[Divergence] = []
     n = len(trace.pages)
     pairs = _stream_requests(trace)
     requests = [rq for rq, _ in pairs]
     for chunk_size in sorted({max(1, n), 257, 64}):
-        engine = StreamEngine(requests, backend="numpy", chunk_size=chunk_size)
-        for (request, want), got in zip(pairs, engine.run(trace)):
+        streamed = stream_simulate(trace, requests, chunk_size=chunk_size)
+        for (request, want), got in zip(pairs, streamed):
             if _result_fields(got) != _result_fields(want):
                 out.append(
                     Divergence(
@@ -743,7 +735,7 @@ def check_stream_events(
     residency) ≡ the event-driven simulator's, chunking included."""
     from repro.obs import RingBufferSink, Tracer
     from repro.obs.events import Fault
-    from repro.vm.stream import StreamEngine, StreamRequest
+    from repro.vm.stream import StreamRequest, stream_simulate
 
     out: List[Divergence] = []
     v = max(1, trace.distinct_pages)
@@ -751,8 +743,6 @@ def check_stream_events(
         (StreamRequest.lru(max(2, v // 2)), LRUPolicy(frames=max(2, v // 2))),
         (StreamRequest.ws(7), WorkingSetPolicy(tau=7)),
     ]
-    if fastsim.cd_fast_applicable(trace, CDConfig()):
-        runs.append((StreamRequest.cd(CDConfig()), CDPolicy(CDConfig())))
     for request, policy in runs:
         ring = RingBufferSink()
         simulate(trace, policy, tracer=Tracer(ring))
@@ -762,10 +752,7 @@ def check_stream_events(
             if isinstance(e, Fault)
         ]
         ring = RingBufferSink()
-        engine = StreamEngine(
-            [request], backend="numpy", chunk_size=193, tracer=Tracer(ring)
-        )
-        engine.run(trace)
+        stream_simulate(trace, [request], chunk_size=193, tracer=Tracer(ring))
         got = [
             (e.time, e.page, e.resident)
             for e in ring.events
@@ -795,7 +782,7 @@ def check_stream_sharded(
     import tempfile
 
     from repro.tracegen.io import open_sharded_trace, save_trace_sharded
-    from repro.vm.stream import StreamEngine
+    from repro.vm.stream import stream_simulate
 
     out: List[Divergence] = []
     n = len(trace.pages)
@@ -823,8 +810,8 @@ def check_stream_sharded(
         pairs = _stream_requests(trace)
         requests = [rq for rq, _ in pairs]
         chunk = max(1, min(shard + shard // 2, n))  # straddle shards
-        engine = StreamEngine(requests, backend="numpy", chunk_size=chunk)
-        for (request, want), got in zip(pairs, engine.run(reloaded)):
+        streamed = stream_simulate(reloaded, requests, chunk_size=chunk)
+        for (request, want), got in zip(pairs, streamed):
             if _result_fields(got) != _result_fields(want):
                 out.append(
                     Divergence(

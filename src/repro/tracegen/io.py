@@ -332,10 +332,6 @@ class _ShardedChunks:
     def length(self) -> int:
         return self.trace.length
 
-    @property
-    def directive_table(self) -> DirectiveTable:
-        return self.trace.directive_table
-
     def chunks(self):
         from repro.vm.stream.chunks import TraceChunk
 

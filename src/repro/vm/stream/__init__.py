@@ -1,6 +1,6 @@
 """Native-speed streaming simulation core.
 
-One pass over a chunked trace replays many policies at once:
+One pass over a chunked trace replays LRU, FIFO and WS at once:
 
 >>> from repro.vm.stream import StreamRequest, stream_simulate
 >>> lru, fifo = stream_simulate(trace, [StreamRequest.lru(32),
@@ -21,19 +21,8 @@ from repro.vm.stream.chunks import (
     TraceChunks,
     as_chunk_source,
 )
-from repro.vm.stream.engine import (
-    StreamEngine,
-    StreamFallback,
-    StreamRequest,
-    stream_simulate,
-)
-from repro.vm.stream.kernels import (
-    BackendUnavailable,
-    ChunkScan,
-    StreamCarry,
-    numba_available,
-    resolve_backend,
-)
+from repro.vm.stream.engine import StreamRequest, stream_simulate
+from repro.vm.stream.kernels import ChunkScan, StreamCarry
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -41,13 +30,8 @@ __all__ = [
     "TraceChunk",
     "TraceChunks",
     "as_chunk_source",
-    "StreamEngine",
-    "StreamFallback",
     "StreamRequest",
     "stream_simulate",
-    "BackendUnavailable",
     "ChunkScan",
     "StreamCarry",
-    "numba_available",
-    "resolve_backend",
 ]

@@ -1,9 +1,8 @@
 """Chunked trace protocol: bounded-memory iteration over page strings.
 
 A *chunk source* is anything the streaming engine can replay: it
-exposes the trace metadata (length, page space, ``directive_table``,
-program name) and yields ``TraceChunk`` views of the page string in
-order.
+exposes the trace metadata (length, page space, program name) and
+yields ``TraceChunk`` views of the page string in order.
 Two sources ship here:
 
 * :class:`TraceChunks` adapts an in-RAM :class:`ReferenceTrace`
@@ -24,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.tracegen.events import DirectiveTable, ReferenceTrace
+from repro.tracegen.events import ReferenceTrace
 
 #: default references per chunk: large enough to amortize kernel
 #: overheads, small enough to keep the scan tables cache-friendly
@@ -71,10 +70,6 @@ class TraceChunks:
     def length(self) -> int:
         return self.trace.length
 
-    @property
-    def directive_table(self) -> DirectiveTable:
-        return self.trace.directive_table
-
     def chunks(self) -> Iterator[TraceChunk]:
         pages = self.trace.pages
         n = len(pages)
@@ -105,4 +100,3 @@ def as_chunk_source(source, chunk_size: int = None):
         f"cannot stream from {type(source).__name__}: expected a "
         "ReferenceTrace, a sharded trace, or a chunk source"
     )
-

@@ -6,10 +6,10 @@ ChunkScan`) computes previous-occurrence/reuse-gap state one time, and
 per-policy state machines consume it to produce the exact metrics the
 event-driven :func:`repro.vm.simulator.simulate` would — faults, MEM,
 and ST are byte-identical (asserted by the oracle's ``stream-*``
-checks).  Directive events are merged at their recorded positions
-exactly as the simulator does: CD's allocation schedule fires before
-the reference at each position; LRU/FIFO/WS ignore directives, as
-their ``on_directive`` does.
+checks).  It streams only LRU, FIFO and WS, whose ``on_directive``
+ignores directives, so it never reads them; CD replays through
+:func:`repro.vm.fastsim.simulate_cd_fast` or
+:class:`~repro.vm.policies.cd.CDPolicy`.
 
 How each policy streams:
 
@@ -31,12 +31,6 @@ How each policy streams:
   the working-set size over time is the coverage count of the
   intervals ``[s, min(s+τ, next(s)))``, accumulated with a difference
   array (carried intervals resolve across chunk boundaries).
-* **CD** — streams when the closed-form replay applies (no memory
-  ceiling, no honored LOCKs — the paper's main configuration): LRU
-  with a piecewise-constant allocation target from the directive
-  schedule, ramping by one per fault.  Other configurations raise
-  :class:`StreamFallback`; :func:`stream_simulate` transparently runs
-  those through the event-driven simulator when the trace is in RAM.
 """
 
 from __future__ import annotations
@@ -46,30 +40,18 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.vm.fastsim import cd_schedule
 from repro.vm.metrics import FAULT_SERVICE_REFERENCES, SimulationResult
-from repro.vm.policies.cd import CDConfig
 from repro.vm.stream.chunks import as_chunk_source
-from repro.vm.stream.kernels import (
-    INFINITE,
-    ChunkScan,
-    StreamCarry,
-    resolve_backend,
-)
-
-
-class StreamFallback(RuntimeError):
-    """The request needs the event-driven simulator (not streamable)."""
+from repro.vm.stream.kernels import ChunkScan, StreamCarry
 
 
 @dataclass(frozen=True)
 class StreamRequest:
     """One policy/parameter pair for the one-pass engine."""
 
-    kind: str  # "LRU" | "FIFO" | "WS" | "CD"
+    kind: str  # "LRU" | "FIFO" | "WS"
     frames: int = 0
     tau: int = 0
-    config: Optional[CDConfig] = None
 
     @staticmethod
     def lru(frames: int) -> "StreamRequest":
@@ -89,16 +71,8 @@ class StreamRequest:
             raise ValueError("the WS window must be at least 1")
         return StreamRequest(kind="WS", tau=tau)
 
-    @staticmethod
-    def cd(config: Optional[CDConfig] = None) -> "StreamRequest":
-        return StreamRequest(kind="CD", config=config or CDConfig())
-
     def parameter(self):
-        if self.kind in ("LRU", "FIFO"):
-            return self.frames
-        if self.kind == "WS":
-            return self.tau
-        return self.config.pi_cap
+        return self.tau if self.kind == "WS" else self.frames
 
     def label(self) -> str:
         return f"{self.kind}({self.parameter()})"
@@ -382,344 +356,67 @@ class _WSState(_Base):
         self._record(fpos, resident[fpos])
 
 
-class _CDState(_Base):
-    RAMP_BATCH = 1024
-
-    def __init__(self, request, program, fault_service, collect_faults, schedule):
-        super().__init__(request, program, fault_service, collect_faults)
-        # (position, new target) per ALLOCATE, positions clamped to the
-        # string length
-        self.schedule = list(
-            zip(schedule.bounds[1:-1].tolist(), schedule.targets[1:].tolist())
+def _make_state(request, src, fault_service, collect):
+    if request.kind == "LRU":
+        return _LRUState(request, src.program_name, fault_service, collect)
+    if request.kind == "FIFO":
+        return _FIFOState(
+            request, src.program_name, fault_service, collect, src.total_pages
         )
-        self.next_event = 0
-        self.resident = 0  # r: depth of the LRU-stack prefix held
-        self.target = request.config.min_allocation
-        self._fpos: List[int] = []
-        self._fres: List[int] = []
-
-    def consume(self, scan: ChunkScan) -> None:
-        if self.collect:
-            self._fpos, self._fres = [], []
-        base, hi = scan.base, scan.base + scan.n
-        at = base
-        while self.next_event < len(self.schedule):
-            position, new_target = self.schedule[self.next_event]
-            if position > hi:
-                break
-            if new_target == self.target:
-                # no-op grant: the segment logic re-checks distances at
-                # the live residency, so equal-target segments merge
-                self.next_event += 1
-                continue
-            if position > at:
-                self._segment(scan, at, position)
-                at = position
-            self.target = new_target
-            if self.resident > self.target:
-                self.resident = self.target
-            self.next_event += 1
-        if at < hi:
-            self._segment(scan, at, hi)
-        if self.collect:
-            self.chunk_faults = (
-                np.asarray(self._fpos, dtype=np.int64) - base,
-                np.asarray(self._fres, dtype=np.int64),
-            )
-
-    def _segment(self, scan: ChunkScan, a: int, b: int) -> None:
-        """Stream one directive segment slice [a, b) (global positions).
-
-        Same recurrence as :func:`repro.vm.fastsim.replay_cd` (ramp,
-        then saturated), without whole-trace distances: candidates are
-        the references that could possibly fault at the entry
-        residency (cold or gap beyond it — gap bounds the stack
-        distance, and the residency only grows inside a segment, so
-        everything else is a hit)."""
-        base = scan.base
-        al, bl = a - base, b - base
-        r, target = self.resident, self.target
-        sl = slice(al, bl)
-        cand = al + np.flatnonzero(scan.cold[sl] | (scan.gap[sl] > r))
-        cur = al
-        ci = 0
-        rel = scan.prev_rel
-        while r < target and ci < len(cand):
-            # distance *bounds* for the next candidate block (the exact
-            # straggler count is deferred), then a pure scalar walk:
-            # distances don't depend on the residency, so the ramp
-            # needs no re-querying as r grows, and most candidates
-            # resolve from ``alive <= d - 1 <= alive + window`` alone
-            block = cand[ci : ci + self.RAMP_BATCH]
-            nb = len(block)
-            dlow = np.full(nb, INFINITE)
-            dhigh = np.full(nb, INFINITE)
-            wstart = np.zeros(nb, dtype=np.int64)
-            wP = np.zeros(nb, dtype=np.int64)
-            warm = np.flatnonzero(~scan.cold[block])
-            if len(warm):
-                q = block[warm]
-                cross = scan.prev[q] < scan.base
-                cq = np.flatnonzero(cross)
-                if len(cq):
-                    d = scan._cross_distances(q[cq])
-                    dlow[warm[cq]] = d
-                    dhigh[warm[cq]] = d
-                iq = np.flatnonzero(~cross)
-                if len(iq):
-                    qi = q[iq]
-                    P_rel = rel[qi].astype(np.int64)
-                    alive = scan._alive(qi, P_rel)
-                    C = scan._snap[0]
-                    start = np.maximum((qi // C) * C, P_rel + 1)
-                    dlow[warm[iq]] = 1 + alive
-                    dhigh[warm[iq]] = 1 + alive + (qi - start)
-                    wstart[warm[iq]] = start
-                    wP[warm[iq]] = P_rel
-            # certain hits (dhigh <= r) stay hits as r grows, so jump
-            # straight to the next candidate whose bracket can exceed
-            # the live residency instead of walking hits one by one
-            k0 = 0
-            while r < target and k0 < nb:
-                k = k0 + int(np.argmax(dhigh[k0:] > r))
-                if dhigh[k] <= r:
-                    k0 = nb
-                    break
-                pos = int(block[k])
-                if dlow[k] <= r:
-                    # bracket straddles the live residency: one short
-                    # slice-sum settles the exact distance
-                    d = int(dlow[k]) + int(
-                        (rel[int(wstart[k]) : pos] <= wP[k]).sum()
-                    )
-                    dlow[k] = dhigh[k] = d
-                    if d <= r:
-                        k0 = k + 1
-                        continue
-                self.mem_sum += r * (pos - cur)
-                r += 1  # min(r + 1, target) — loop holds r < target
-                self.mem_sum += r
-                self.fault_mem += r
-                self.faults += 1
-                if self.collect:
-                    self._fpos.append(base + pos)
-                    self._fres.append(r)
-                cur = pos + 1
-                k0 = k + 1
-            ci += k0
-        if cur < bl and r < target:
-            # ramp exhausted its candidates below target: everything
-            # left in the segment is a hit at the current residency
-            self.mem_sum += r * (bl - cur)
-            cur = bl
-        if cur < bl:
-            live = cand[(cand >= cur) & (scan.gap[cand] > target)]
-            deep = scan.cold[live].copy()
-            warm = np.flatnonzero(~deep)
-            if len(warm):
-                deep[warm] = scan.distance_gt(live[warm], target)
-            seg_faults = int(deep.sum())
-            self.faults += seg_faults
-            self.mem_sum += target * (bl - cur)
-            self.fault_mem += target * seg_faults
-            if self.collect and seg_faults:
-                for pos in live[deep]:
-                    self._fpos.append(base + int(pos))
-                    self._fres.append(target)
-        self.resident = r
-        self.last_resident = r
-
-    def finalize(self, n: int) -> SimulationResult:
-        # drain trailing directives (target updates after the last
-        # reference change no metric, but keep the schedule consistent)
-        while self.next_event < len(self.schedule):
-            _, new_target = self.schedule[self.next_event]
-            self.target = new_target
-            if self.resident > self.target:
-                self.resident = self.target
-            self.next_event += 1
-        return super().finalize(n)
+    if request.kind == "WS":
+        return _WSState(request, src.program_name, fault_service, collect)
+    raise ValueError(f"unknown stream policy {request.kind!r}")
 
 
-class StreamEngine:
-    """Replay many policies over one scan of a chunked trace.
+def _emit(tracer, state, scan) -> None:
+    from repro.obs.events import Fault, ResidentSample
 
-    ``backend`` follows :func:`repro.vm.stream.kernels.resolve_backend`
-    (``REPRO_BACKEND`` env, ``auto`` by default).  With a ``tracer``
-    the engine emits exact per-fault events (time, page, post-fault
-    residency, matching the event-driven stream) plus one
-    ResidentSample per chunk boundary; tracing requires a single
-    request and always uses the numpy kernels.  Eviction events are not
-    synthesized — use the event-driven simulator when victim identity
-    matters.
-    """
-
-    def __init__(
-        self,
-        requests: Sequence[StreamRequest],
-        fault_service: int = FAULT_SERVICE_REFERENCES,
-        backend: Optional[str] = None,
-        chunk_size: Optional[int] = None,
-        tracer=None,
-    ):
-        if not requests:
-            raise ValueError("at least one StreamRequest is required")
-        self.requests = list(requests)
-        self.fault_service = fault_service
-        self.backend = backend
-        self.chunk_size = chunk_size
-        self.tracer = tracer
-        if tracer is not None and len(self.requests) != 1:
-            raise ValueError("tracing supports exactly one request")
-
-    def run(self, source) -> List[SimulationResult]:
-        src = as_chunk_source(source, self.chunk_size)
-        schedules = {}
-        for request in self.requests:
-            if request.kind != "CD" or request.config in schedules:
-                continue
-            schedule = cd_schedule(src.directive_table, request.config, src.length)
-            if schedule is None:
-                raise StreamFallback(
-                    f"{request.label()} needs the event-driven simulator "
-                    "(memory ceiling or honored LOCK directives)"
-                )
-            schedules[request.config] = schedule
-        backend = resolve_backend(self.backend)
-        if self.tracer is not None:
-            backend = "numpy"
-        if backend == "numba":
-            from repro.vm.stream import _numba
-
-            return _numba.run(self, src, schedules)
-        return self._run_numpy(src, schedules)
-
-    def _make_states(self, src, collect, schedules):
-        states = []
-        for request in self.requests:
-            if request.kind == "LRU":
-                states.append(
-                    _LRUState(
-                        request, src.program_name, self.fault_service, collect
-                    )
-                )
-            elif request.kind == "FIFO":
-                states.append(
-                    _FIFOState(
-                        request,
-                        src.program_name,
-                        self.fault_service,
-                        collect,
-                        src.total_pages,
-                    )
-                )
-            elif request.kind == "WS":
-                states.append(
-                    _WSState(
-                        request, src.program_name, self.fault_service, collect
-                    )
-                )
-            elif request.kind == "CD":
-                states.append(
-                    _CDState(
-                        request,
-                        src.program_name,
-                        self.fault_service,
-                        collect,
-                        schedules[request.config],
-                    )
-                )
-            else:
-                raise ValueError(f"unknown stream policy {request.kind!r}")
-        return states
-
-    def _run_numpy(self, src, schedules) -> List[SimulationResult]:
-        collect = self.tracer is not None
-        states = self._make_states(src, collect, schedules)
-        carry = StreamCarry(src.total_pages)
-        for chunk in src.chunks():
-            scan = ChunkScan(chunk.pages, chunk.base, carry)
-            for state in states:
-                state.consume(scan)
-            if collect:
-                self._emit(states[0], scan)
-        return [state.finalize(src.length) for state in states]
-
-    def _emit(self, state, scan) -> None:
-        from repro.obs.events import Fault, ResidentSample
-
-        positions, residents = state.chunk_faults or (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-        for pos, res in zip(positions, residents):
-            self.tracer.emit(
-                Fault(
-                    time=scan.base + int(pos),
-                    page=int(scan.pages[int(pos)]),
-                    resident=int(res),
-                )
-            )
-        self.tracer.emit(
-            ResidentSample(
-                time=scan.base + scan.n - 1, resident=int(state.last_resident)
+    positions, residents = state.chunk_faults or (
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+    )
+    for pos, res in zip(positions, residents):
+        tracer.emit(
+            Fault(
+                time=scan.base + int(pos),
+                page=int(scan.pages[int(pos)]),
+                resident=int(res),
             )
         )
+    last = scan.base + scan.n - 1
+    tracer.emit(ResidentSample(time=last, resident=int(state.last_resident)))
 
 
 def stream_simulate(
     source,
     requests: Sequence[StreamRequest],
     fault_service: int = FAULT_SERVICE_REFERENCES,
-    backend: Optional[str] = None,
     chunk_size: Optional[int] = None,
     tracer=None,
 ) -> List[SimulationResult]:
-    """One-pass replay of ``requests`` over ``source``.
+    """Replay every request over one scan of ``source``.
 
-    Requests the engine cannot stream (CD with a memory ceiling or
-    honored LOCKs) fall back to the event-driven simulator when the
-    source is an in-RAM :class:`ReferenceTrace`; for sharded sources
-    the :class:`StreamFallback` propagates, since falling back would
-    materialize the whole trace.
+    ``source`` is anything :func:`~repro.vm.stream.chunks.as_chunk_source`
+    accepts: an in-RAM trace, a sharded trace, or a chunk source.  With
+    a ``tracer`` the scan emits exact per-fault events (time, page,
+    post-fault residency, matching the event-driven stream) plus one
+    ResidentSample per chunk boundary; tracing requires a single
+    request.  Eviction events are not synthesized — use the
+    event-driven simulator when victim identity matters.
     """
-    from repro.tracegen.events import ReferenceTrace
-
     requests = list(requests)
+    if not requests:
+        return []
+    if tracer is not None and len(requests) != 1:
+        raise ValueError("tracing supports exactly one request")
     src = as_chunk_source(source, chunk_size)
-    engine_requests = []
-    fallback = {}
-    for index, request in enumerate(requests):
-        if (
-            request.kind == "CD"
-            and cd_schedule(src.directive_table, request.config, src.length)
-            is None
-        ):
-            fallback[index] = request
-        else:
-            engine_requests.append((index, request))
-    if fallback and not isinstance(source, ReferenceTrace):
-        raise StreamFallback(
-            "event-driven fallback needs an in-RAM trace; got "
-            f"{type(source).__name__}"
-        )
-    results: List[Optional[SimulationResult]] = [None] * len(requests)
-    if engine_requests:
-        engine = StreamEngine(
-            [request for _, request in engine_requests],
-            fault_service=fault_service,
-            backend=backend,
-            chunk_size=chunk_size,
-            tracer=tracer,
-        )
-        for (index, _), result in zip(engine_requests, engine.run(source)):
-            results[index] = result
-    if fallback:
-        from repro.vm.policies.cd import CDPolicy
-        from repro.vm.simulator import simulate
-
-        for index, request in fallback.items():
-            results[index] = simulate(
-                source, CDPolicy(request.config), fault_service=fault_service
-            )
-    return results
+    collect = tracer is not None
+    states = [_make_state(rq, src, fault_service, collect) for rq in requests]
+    carry = StreamCarry(src.total_pages)
+    for chunk in src.chunks():
+        scan = ChunkScan(chunk.pages, chunk.base, carry)
+        for state in states:
+            state.consume(scan)
+        if collect:
+            _emit(tracer, states[0], scan)
+    return [state.finalize(src.length) for state in states]

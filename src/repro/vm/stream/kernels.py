@@ -6,8 +6,8 @@ reference, the previous occurrence of the same page (``prev``), the
 backward reuse gap, and a cold-miss flag — all against carried
 cross-chunk state, so chunking is invisible in the results.
 
-LRU and CD additionally need *stack distances* (number of distinct
-pages since the previous occurrence, inclusive).  Computing them for a
+LRU additionally needs *stack distances* (number of distinct pages
+since the previous occurrence, inclusive).  Computing them for a
 whole trace is the job of :class:`repro.vm.analyzers.LRUSweep`; the
 streaming engine instead answers sparse *threshold* queries
 (``distance > m``?) at the references whose reuse gap exceeds the
@@ -41,9 +41,6 @@ with the page space.  Distances are *defined* only for warm references
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
 import numpy as np
 
 #: sentinel gap/distance for cold misses (greater than any real value)
@@ -60,47 +57,11 @@ _BLOCK = 128
 _FLAT_BATCH = 1 << 22
 
 
-class BackendUnavailable(RuntimeError):
-    """Raised when an explicitly requested backend cannot be imported."""
-
-
-def numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve a backend request to ``"numpy"`` or ``"numba"``.
-
-    Order: explicit ``name`` argument, then the ``REPRO_BACKEND``
-    environment variable, then ``auto``.  ``auto`` picks numba when it
-    imports and numpy otherwise; asking for numba without it installed
-    is an error rather than a silent downgrade.
-    """
-    choice = (name or os.environ.get("REPRO_BACKEND") or "auto").lower()
-    if choice not in ("numpy", "numba", "auto"):
-        raise ValueError(
-            f"unknown backend {choice!r}: expected numpy, numba, or auto"
-        )
-    if choice == "auto":
-        return "numba" if numba_available() else "numpy"
-    if choice == "numba" and not numba_available():
-        raise BackendUnavailable(
-            "REPRO_BACKEND=numba requested but numba is not importable; "
-            "install the 'numba' extra or use numpy/auto"
-        )
-    return choice
-
-
 class StreamCarry:
     """Cross-chunk scan state: global last occurrence per page."""
 
     def __init__(self, total_pages: int):
         self.lastocc = np.full(total_pages, -1, dtype=np.int64)
-        self.distinct = 0  # pages seen so far
 
 
 class ChunkScan:
@@ -119,7 +80,6 @@ class ChunkScan:
         self.total_pages = len(carry.lastocc)
         lastocc = carry.lastocc
         self.lastocc_pre = lastocc.copy()
-        self.distinct_before = carry.distinct
         # page-major order; uint16 keys radix-sort faster when V allows
         if self.total_pages <= 0xFFFF:
             order = np.argsort(pages.astype(np.uint16), kind="stable")
@@ -157,7 +117,6 @@ class ChunkScan:
             last[-1] = True
             self.last_sorted = last
             lastocc[sp[last]] = base + order[last]
-            carry.distinct += int(self.cold.sum())
         else:
             self.last_sorted = first
         self._next_local = None
@@ -178,10 +137,6 @@ class ChunkScan:
                 nxt[order[rep - 1]] = self.base + order[rep]
             self._next_local = nxt
         return self._next_local
-
-    def distinct_inclusive(self) -> np.ndarray:
-        """K(t): distinct pages seen up to and including each reference."""
-        return self.distinct_before + self.cold_cum
 
     # -- stack-distance machinery ---------------------------------------------
 
@@ -240,7 +195,7 @@ class ChunkScan:
         rank = np.searchsorted(snap_flat, keys, side="right")
         return (blk + 1) * self.total_pages - rank
 
-    def _window_counts(self, start, t, P_rel, lens) -> np.ndarray:
+    def _window_counts(self, start, t, P_rel) -> np.ndarray:
         """Exact ``#{s in [start, t) : prev[s] <= P}`` per query.
 
         Every window lies inside the query's own snapshot block, so
@@ -303,32 +258,6 @@ class ChunkScan:
             dead = 0
         return 1 + touched + alive_pre - dead
 
-    def distances(self, q: np.ndarray) -> np.ndarray:
-        """Exact stack distances at local positions ``q`` (non-cold)."""
-        if len(q) == 0:
-            return np.empty(0, dtype=np.int64)
-        out = np.empty(len(q), dtype=np.int64)
-        cross = self.prev[q] < self.base
-        cq = np.flatnonzero(cross)
-        if len(cq):
-            out[cq] = self._cross_distances(q[cq])
-        iq = np.flatnonzero(~cross)
-        if len(iq):
-            qi = q[iq]
-            P_rel = self.prev_rel[qi].astype(np.int64)
-            alive = self._alive(qi, P_rel)
-            C = self._snap[0]
-            start = np.maximum((qi // C) * C, P_rel + 1)
-            lens = qi - start
-            res = 1 + alive
-            live = np.flatnonzero(lens > 0)
-            if len(live):
-                res[live] += self._window_counts(
-                    start[live], qi[live], P_rel[live], lens[live]
-                )
-            out[iq] = res
-        return out
-
     def distance_gt(self, q: np.ndarray, threshold) -> np.ndarray:
         """Boolean ``stack distance > threshold`` at local positions
         ``q`` (non-cold; cold distances are infinite by definition and
@@ -362,9 +291,7 @@ class ChunkScan:
         undecided = ~res & (alive + lens >= t)
         uq = np.flatnonzero(undecided)
         if len(uq):
-            cnt = self._window_counts(
-                start[uq], qi[uq], P_rel[uq], lens[uq]
-            )
+            cnt = self._window_counts(start[uq], qi[uq], P_rel[uq])
             res[uq] = (alive[uq] + cnt) >= t[uq]
         out[iq] = res
         return out

@@ -290,22 +290,12 @@ class TestFastSimIntegration:
 
 class TestReplayOptions:
     def test_options_hold_only_inside_the_block(self, tmp_path, monkeypatch):
-        import repro.vm.stream as stream
         from repro.experiments.runner import replay_options, timelines_dir
 
-        backends = []
-
-        def fake_stream(trace, requests, backend=None, chunk_size=None):
-            backends.append(backend)
-            return []
-
-        monkeypatch.setattr(stream, "stream_simulate", fake_stream)
         monkeypatch.delenv("REPRO_TIMELINES_DIR", raising=False)
-        art = artifacts_for("INIT")
-        with replay_options(timelines=tmp_path, backend="numpy"):
+        with replay_options(timelines=tmp_path):
             assert timelines_dir() == tmp_path
-            art.policy_results([])
-            art.policy_results([], backend="auto")  # an explicit choice wins
+            with replay_options(timelines=tmp_path / "inner"):
+                assert timelines_dir() == tmp_path / "inner"
+            assert timelines_dir() == tmp_path
         assert timelines_dir() is None
-        art.policy_results([])
-        assert backends == ["numpy", "auto", None]

@@ -26,7 +26,7 @@ def bench(monkeypatch):
 def test_write_summary_preserves_prior_sections(tmp_path, bench):
     path = tmp_path / "BENCH_simulator.json"
     prior = {
-        "stream": {"backend": "numpy", "refs_per_sec": 123},
+        "stream": {"one_pass": {"LRU": {"policy_refs_per_sec": 123}}},
         "future_section": [1, 2, 3],
     }
     path.write_text(json.dumps(prior))

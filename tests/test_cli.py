@@ -97,23 +97,39 @@ class TestSimulate:
         assert main([*args, "--stream", "--chunk-size", "97"]) == 0
         assert capsys.readouterr().out == plain
 
-    def test_stream_rejects_clock(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "TQL", "--policy", "CLOCK", "--stream"])
+    @pytest.mark.parametrize("policy", ["CLOCK", "CD"])
+    def test_stream_rejects_policy(self, policy):
+        with pytest.raises(SystemExit, match="supports LRU, FIFO, and WS"):
+            main(["simulate", "TQL", "--policy", policy, "--stream"])
 
-    def test_stream_explicit_numpy_backend(self, capsys):
-        args = ["simulate", "TQL", "--policy", "WS", "--tau", "100"]
-        assert main([*args, "--stream", "--backend", "numpy"]) == 0
-        assert "WS" in capsys.readouterr().out
-
-    def test_missing_numba_is_a_clean_error(self, capsys):
-        from repro.vm.stream import numba_available
-
-        if numba_available():
-            pytest.skip("numba installed; nothing to refuse")
-        args = ["simulate", "TQL", "--policy", "LRU", "--stream"]
-        assert main([*args, "--backend", "numba"]) == 1
-        assert "numba" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "simulate TQL --policy LRU --frames 0",
+            "simulate TQL --policy FIFO --frames -2",
+            "simulate TQL --policy OPT --frames 0",
+            "simulate TQL --policy WS --tau 0",
+            "simulate TQL --policy PFF --tau 0",
+            "simulate TQL --pi-cap 0",
+            "simulate TQL --memory-limit 0",
+            "simulate TQL --policy LRU --stream --chunk-size 0",
+            "simulate TQL --policy LRU --stream --chunk-size -1",
+            "simulate TQL --policy LRU --stream --backend numpy",
+            "trace TQL --policy LRU --frames 0",
+            "trace TQL --policy WS --tau 0",
+            "trace TQL --policy CD --pi-cap 0",
+            "trace TQL --policy CD --memory-limit 0",
+            "trace TQL --policy LRU --sample-every 0",
+        ],
+    )
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        # refused by argparse with one line naming the flag, before any
+        # replay: a zero must not fall back to the default
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        flag = [arg for arg in argv.split() if arg.startswith("--")][-1]
+        assert flag in capsys.readouterr().err
 
     def test_replays_hit_artifact_cache(self):
         # workload replays must reuse the content-hash artifact cache

@@ -1,5 +1,5 @@
 """One-pass streaming engine: equivalence with the event-driven
-simulator, chunking edge cases, backend resolution, and fallbacks."""
+simulator, chunking edge cases, sharded sources, and fault events."""
 
 import numpy as np
 import pytest
@@ -7,22 +7,9 @@ import pytest
 from repro.directives.model import AllocateRequest
 from repro.tracegen.events import DirectiveEvent, DirectiveKind, ReferenceTrace
 from repro.tracegen.io import open_sharded_trace, save_trace_sharded
-from repro.vm.policies import (
-    CDConfig,
-    CDPolicy,
-    FIFOPolicy,
-    LRUPolicy,
-    WorkingSetPolicy,
-)
+from repro.vm.policies import FIFOPolicy, LRUPolicy, WorkingSetPolicy
 from repro.vm.simulator import simulate
-from repro.vm.stream import (
-    BackendUnavailable,
-    StreamFallback,
-    StreamRequest,
-    numba_available,
-    resolve_backend,
-    stream_simulate,
-)
+from repro.vm.stream import StreamRequest, stream_simulate
 
 
 def make_trace(pages, directives=None, name="STREAM"):
@@ -60,7 +47,6 @@ REQUESTS = [
     StreamRequest.fifo(4),
     StreamRequest.ws(5),
     StreamRequest.ws(64),
-    StreamRequest.cd(),
 ]
 
 
@@ -71,10 +57,8 @@ def reference_results(trace, requests):
             policy = LRUPolicy(frames=request.frames)
         elif request.kind == "FIFO":
             policy = FIFOPolicy(frames=request.frames)
-        elif request.kind == "WS":
-            policy = WorkingSetPolicy(tau=request.tau)
         else:
-            policy = CDPolicy(request.config)
+            policy = WorkingSetPolicy(tau=request.tau)
         out.append(simulate(trace, policy))
     return out
 
@@ -93,29 +77,12 @@ class TestEquivalence:
             for got, want in zip(streamed, reference_results(trace, REQUESTS)):
                 assert fields(got) == fields(want)
 
-    def test_directives_at_chunk_boundaries(self):
-        # positions 0, chunk_size, chunk_size*2, and end-of-trace: the
-        # merge must fire each directive before the same reference the
-        # event-driven loop does, whichever chunk it lands in.
-        n, chunk = 96, 32
-        pages = np.arange(n) % 9
-        directives = [
-            alloc(0, pages=2, pi=3),
-            alloc(chunk, pages=4, pi=2),
-            alloc(2 * chunk, pages=6, pi=2),
-            alloc(n, pages=8, pi=2),
-        ]
-        trace = make_trace(pages, directives=directives)
-        requests = [StreamRequest.cd(), StreamRequest.cd(CDConfig(pi_cap=1))]
-        streamed = stream_simulate(trace, requests, chunk_size=chunk)
-        for got, want in zip(streamed, reference_results(trace, requests)):
-            assert fields(got) == fields(want)
-
     def test_empty_trace(self):
         trace = make_trace([])
         for result in stream_simulate(trace, REQUESTS):
             assert result.page_faults == 0
             assert result.references == 0
+        assert stream_simulate(trace, []) == []
 
     def test_one_pass_matches_individual_passes(self):
         trace = make_trace(np.arange(300) % 17)
@@ -132,7 +99,6 @@ class TestEquivalence:
             StreamRequest.lru(16),
             StreamRequest.fifo(8),
             StreamRequest.ws(64),
-            StreamRequest.cd(),
         ]
         for name in workload_names():
             trace = artifacts_for(name).trace
@@ -151,53 +117,6 @@ class TestSharded:
         streamed = stream_simulate(sharded, REQUESTS, chunk_size=61)
         for got, want in zip(streamed, reference_results(trace, REQUESTS)):
             assert fields(got) == fields(want)
-
-    def test_non_streamable_cd_raises_for_sharded(self, tmp_path):
-        trace = make_trace(np.arange(50) % 5)
-        save_trace_sharded(trace, tmp_path / "t", shard_size=16)
-        sharded = open_sharded_trace(tmp_path / "t")
-        capped = StreamRequest.cd(CDConfig(memory_limit=3))
-        with pytest.raises(StreamFallback):
-            stream_simulate(sharded, [capped])
-
-    def test_non_streamable_cd_falls_back_in_ram(self):
-        trace = make_trace(np.arange(50) % 5, directives=[alloc(10)])
-        capped = StreamRequest.cd(CDConfig(memory_limit=3))
-        got = stream_simulate(trace, [capped])[0]
-        want = simulate(trace, CDPolicy(CDConfig(memory_limit=3)))
-        assert fields(got) == fields(want)
-
-
-class TestBackend:
-    def test_numpy_always_resolves(self):
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_env_variable_consulted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert resolve_backend(None) == "numpy"
-
-    def test_auto_never_fails(self):
-        assert resolve_backend("auto") in ("numpy", "numba")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
-
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed; nothing to refuse"
-    )
-    def test_explicit_numba_without_install_raises(self):
-        with pytest.raises(BackendUnavailable):
-            resolve_backend("numba")
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        trace = make_trace(rng.integers(0, 31, size=700))
-        via_numpy = stream_simulate(trace, REQUESTS, backend="numpy")
-        via_numba = stream_simulate(trace, REQUESTS, backend="numba")
-        for a, b in zip(via_numpy, via_numba):
-            assert fields(a) == fields(b)
 
 
 class TestEvents:
@@ -222,3 +141,5 @@ class TestEvents:
             ]
 
         assert faults(ring_stream) == faults(ring_event)
+        with pytest.raises(ValueError, match="exactly one request"):
+            stream_simulate(trace, REQUESTS[:2], tracer=Tracer(ring_stream))
