@@ -295,31 +295,8 @@ def _make_policy(args):
     raise SystemExit(f"error: unknown policy {args.policy!r}")
 
 
-def _stream_request(args):
-    """Translate ``simulate`` policy flags to a streaming request."""
-    from repro.vm.stream import StreamRequest
-
-    name = args.policy.upper()
-    if name == "LRU":
-        return StreamRequest.lru(args.frames)
-    if name == "FIFO":
-        return StreamRequest.fifo(args.frames)
-    if name == "WS":
-        return StreamRequest.ws(args.tau)
-    raise SystemExit(
-        f"error: --stream supports LRU, FIFO, and WS (got {args.policy!r})"
-    )
-
-
 def _cmd_simulate(args) -> int:
-    request = _stream_request(args) if args.stream else None
     trace = _replay_trace(args.program, args.locks)
-    if request is not None:
-        from repro.vm.stream import stream_simulate
-
-        result = stream_simulate(trace, [request], chunk_size=args.chunk_size)[0]
-        print(result.describe())
-        return 0
     policy = _make_policy(args)
     result = simulate(trace, policy)
     print(result.describe())
@@ -910,18 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("--policy", default="CD")
     _add_policy_arguments(p)
-    p.add_argument(
-        "--stream",
-        action="store_true",
-        help="replay through the one-pass streaming engine (LRU/FIFO/WS)",
-    )
-    p.add_argument(
-        "--chunk-size",
-        type=_positive_int,
-        default=None,
-        dest="chunk_size",
-        help="streaming chunk size in references (default 65536)",
-    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("table", help="regenerate a paper table or ablation")
@@ -976,8 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.25,0.5,1.0,2.0,4.0",
         help="comma-separated offered loads (fraction of CPU capacity)",
     )
-    p.add_argument("--frames", type=int, default=64, help="shared pool size")
-    p.add_argument("--cpus", type=int, default=1)
+    p.add_argument("--frames", type=_positive_int, default=64, help="shared pool size")
+    p.add_argument("--cpus", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0, help="arrival-stream seed")
     p.add_argument(
         "--workloads",
@@ -993,20 +958,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-refs",
-        type=int,
+        type=_positive_int,
         default=30_000,
         dest="max_refs",
         help="truncate each job's trace to this many references",
     )
     p.add_argument(
         "--horizon",
-        type=int,
+        type=_positive_int,
         default=400_000,
         help="arrival window in virtual time units",
     )
     p.add_argument(
         "--run-horizon",
-        type=int,
+        type=_positive_int,
         default=1_200_000,
         dest="run_horizon",
         help="hard stop for each pool run (virtual time)",
@@ -1054,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the differential-testing oracle over random loop nests",
     )
     p.add_argument(
-        "--seeds", type=int, default=50, help="number of seeds to run"
+        "--seeds", type=_positive_int, default=50, help="number of seeds to run"
     )
     p.add_argument(
         "--time-budget",

@@ -56,11 +56,11 @@ def policy_zoo(
 ) -> List[ZooRow]:
     """Fault counts of every policy at CD's average memory.
 
-    The streamable policies (LRU, FIFO, WS) come from one shared scan
-    of the trace (:meth:`WorkloadArtifacts.policy_results`) instead of
-    one event-driven replay each; OPT and PFF replay fault to fault
-    (:mod:`repro.vm.fastsim`); CLOCK keeps the event-driven path (its
-    reference bits change on every hit).
+    LRU, FIFO and WS come from :meth:`WorkloadArtifacts.policy_results`
+    (point queries on the workload's sweeps for LRU and WS, a
+    fault-to-fault replay for FIFO); OPT and PFF also replay fault to
+    fault (:mod:`repro.vm.fastsim`); CLOCK keeps the event-driven path
+    (its reference bits change on every hit).
     """
     from repro.vm.stream import StreamRequest
 

@@ -176,18 +176,17 @@ class WorkloadArtifacts:
         return result
 
     def policy_results(self, requests) -> List[SimulationResult]:
-        """One-pass multi-policy replay of this workload's trace.
+        """LRU, FIFO and WS replays of this workload's trace.
 
-        ``requests`` are :class:`repro.vm.stream.StreamRequest` items;
-        a single scan of the trace feeds every policy at once instead
-        of one full event-driven replay per policy.  Results are exact
-        (the oracle's ``stream-*`` checks pin them to the event-driven
-        simulator).
+        ``requests`` are :class:`repro.vm.stream.StreamRequest` items.
+        LRU and WS are point queries on this workload's sweeps, FIFO
+        replays fault to fault; every result equals the event-driven
+        simulator's (the oracle's ``metric-*`` checks pin them).
         """
         from repro.vm.stream import stream_simulate
 
         t0 = time.perf_counter()
-        results = stream_simulate(self.trace, requests)
+        results = stream_simulate(self.trace, requests, lru=self.lru, ws=self.ws)
         STATS.add(
             "simulate",
             time.perf_counter() - t0,

@@ -1,13 +1,13 @@
 """Differential checks: fast path ≡ slow path, plus policy invariants.
 
-Four check classes, mirroring the fast paths the repo depends on (each
+Seven check classes, mirroring the fast paths the repo depends on (each
 identified by the ``check`` field of a :class:`Divergence`):
 
 * ``trace-*`` — the affine trace compiler against the pure interpreter
   (element-for-element pages, directive events, truncation), plus the
   frontend parse → unparse → parse round-trip;
-* ``metric-*`` — the closed-form CD replay, the fault-to-fault PFF and
-  OPT replays and the one-pass LRU/WS analyzers against the
+* ``metric-*`` — the closed-form CD replay, the fault-to-fault PFF,
+  OPT and FIFO replays and the one-pass LRU/WS analyzers against the
   event-driven simulator, and the pruned WS minimum-ST search against
   the same search rule run on point queries;
 * ``invariant-*`` — policy laws that hold independently of any fast
@@ -24,10 +24,8 @@ identified by the ``check`` field of a :class:`Divergence`):
   directive event traces back to a static directive, and a clean
   static lock balance (rule CD103) implies an exactly balanced
   dynamic pin ledger;
-* ``stream-*`` — the one-pass streaming engine (LRU, FIFO, WS) against
-  the per-policy references: metrics (PF, MEM, ST) across chunk sizes, the
-  per-fault event stream (time, page, residency), and the sharded
-  on-disk round trip;
+* ``pool-*`` — the load-controlled multiprogramming pool: its frame
+  ledger rebuilt from the event stream, and each process's replay;
 * ``static-*`` — the trace-free locality engine: its run-structured
   string, the element-wise-verified run journal, the weighted LRU/WS
   analyzers, the CD structure walk, both minimum-space-time searches
@@ -57,6 +55,7 @@ from repro.vm.metrics import SimulationResult
 from repro.vm.policies import (
     CDConfig,
     CDPolicy,
+    FIFOPolicy,
     LRUPolicy,
     OPTPolicy,
     PFFPolicy,
@@ -239,6 +238,10 @@ def _opt_samples(v: int) -> List[int]:
     return sorted({1, max(2, v // 2), v})
 
 
+def _fifo_samples(v: int) -> List[int]:
+    return sorted({1, 3, max(1, v // 2)})
+
+
 def ws_min_by_point_queries(ws, grid: List[int]) -> SimulationResult:
     """The minimum-ST search rule run on point queries alone: every
     window of ``grid``, the first argmin, then the first strictly better
@@ -258,8 +261,8 @@ def ws_min_by_point_queries(ws, grid: List[int]) -> SimulationResult:
 
 def check_metrics(trace: ReferenceTrace, label: str) -> List[Divergence]:
     """Analyzers and the fast replays (closed-form CD, fault-to-fault
-    PFF and OPT) vs the event-driven simulator; the pruned WS minimum
-    search vs the same rule run on point queries."""
+    PFF, OPT and FIFO) vs the event-driven simulator; the pruned WS
+    minimum search vs the same rule run on point queries."""
     out: List[Divergence] = []
     n = len(trace.pages)
     lru = LRUSweep(trace)
@@ -348,6 +351,17 @@ def check_metrics(trace: ReferenceTrace, label: str) -> List[Divergence]:
             out.append(
                 Divergence(
                     "metric-opt",
+                    f"{label}: frames={frames}: fast "
+                    f"{_result_fields(fast)} vs simulator {_result_fields(slow)}",
+                )
+            )
+    for frames in _fifo_samples(max(1, trace.distinct_pages)):
+        fast = fastsim.simulate_fifo_fast(trace, frames)
+        slow = simulate(trace, FIFOPolicy(frames=frames))
+        if _result_fields(fast) != _result_fields(slow):
+            out.append(
+                Divergence(
+                    "metric-fifo",
                     f"{label}: frames={frames}: fast "
                     f"{_result_fields(fast)} vs simulator {_result_fields(slow)}",
                 )
@@ -672,155 +686,6 @@ def check_event_conservation(
                     f"simulator {len(slow_faults)}",
                 )
             )
-    return out
-
-
-# -- check class 6: streaming-engine equivalence -------------------------------
-
-
-def _stream_requests(trace: ReferenceTrace):
-    """A representative request battery for one trace, with the exact
-    event-driven reference result for each."""
-    from repro.vm.policies import FIFOPolicy
-    from repro.vm.stream import StreamRequest
-
-    v = max(1, trace.distinct_pages)
-    n = max(1, len(trace.pages))
-    pairs = []
-    lru = LRUSweep(trace)
-    for frames in sorted({1, 2, max(1, v // 2), v}):
-        pairs.append((StreamRequest.lru(frames), lru.result(frames)))
-    for frames in sorted({1, 3, max(1, v // 2)}):
-        pairs.append(
-            (
-                StreamRequest.fifo(frames),
-                simulate(trace, FIFOPolicy(frames=frames)),
-            )
-        )
-    ws = WSSweep(trace)
-    for tau in sorted({1, 3, max(1, n // 3), n + 5}):
-        pairs.append((StreamRequest.ws(tau), ws.result(tau)))
-    return pairs
-
-
-def check_stream_metrics(
-    trace: ReferenceTrace, label: str
-) -> List[Divergence]:
-    """One-pass streaming metrics ≡ event-driven, at several chunkings."""
-    from repro.vm.stream import stream_simulate
-
-    out: List[Divergence] = []
-    n = len(trace.pages)
-    pairs = _stream_requests(trace)
-    requests = [rq for rq, _ in pairs]
-    for chunk_size in sorted({max(1, n), 257, 64}):
-        streamed = stream_simulate(trace, requests, chunk_size=chunk_size)
-        for (request, want), got in zip(pairs, streamed):
-            if _result_fields(got) != _result_fields(want):
-                out.append(
-                    Divergence(
-                        "stream-metrics",
-                        f"{label}: {request.label()} chunk={chunk_size}: "
-                        f"stream {_result_fields(got)} vs reference "
-                        f"{_result_fields(want)}",
-                    )
-                )
-    return out
-
-
-def check_stream_events(
-    trace: ReferenceTrace, label: str
-) -> List[Divergence]:
-    """The engine's per-fault event stream (time, page, post-fault
-    residency) ≡ the event-driven simulator's, chunking included."""
-    from repro.obs import RingBufferSink, Tracer
-    from repro.obs.events import Fault
-    from repro.vm.stream import StreamRequest, stream_simulate
-
-    out: List[Divergence] = []
-    v = max(1, trace.distinct_pages)
-    runs = [
-        (StreamRequest.lru(max(2, v // 2)), LRUPolicy(frames=max(2, v // 2))),
-        (StreamRequest.ws(7), WorkingSetPolicy(tau=7)),
-    ]
-    for request, policy in runs:
-        ring = RingBufferSink()
-        simulate(trace, policy, tracer=Tracer(ring))
-        want = [
-            (e.time, e.page, e.resident)
-            for e in ring.events
-            if isinstance(e, Fault)
-        ]
-        ring = RingBufferSink()
-        stream_simulate(trace, [request], chunk_size=193, tracer=Tracer(ring))
-        got = [
-            (e.time, e.page, e.resident)
-            for e in ring.events
-            if isinstance(e, Fault)
-        ]
-        if got != want:
-            i = next(
-                (k for k, (a, b) in enumerate(zip(got, want)) if a != b),
-                min(len(got), len(want)),
-            )
-            out.append(
-                Divergence(
-                    "stream-events",
-                    f"{label}: {request.label()}: fault stream diverges at "
-                    f"index {i}: stream {len(got)} faults vs event-driven "
-                    f"{len(want)}",
-                )
-            )
-    return out
-
-
-def check_stream_sharded(
-    trace: ReferenceTrace, label: str
-) -> List[Divergence]:
-    """Sharded round trip: pages/directives survive, and streaming off
-    disk (chunks straddling shard boundaries) matches the in-RAM run."""
-    import tempfile
-
-    from repro.tracegen.io import open_sharded_trace, save_trace_sharded
-    from repro.vm.stream import stream_simulate
-
-    out: List[Divergence] = []
-    n = len(trace.pages)
-    with tempfile.TemporaryDirectory(prefix="oracle-shard-") as tmp:
-        shard = max(1, min(997, n // 3 + 1))
-        save_trace_sharded(trace, tmp, shard_size=shard)
-        reloaded = open_sharded_trace(tmp)
-        back = reloaded.to_reference_trace()
-        if len(back.pages) != n or (n and (back.pages != trace.pages).any()):
-            out.append(
-                Divergence(
-                    "stream-sharded",
-                    f"{label}: sharded round trip changed the page string",
-                )
-            )
-            return out
-        if list(back.directives) != list(trace.directives):
-            out.append(
-                Divergence(
-                    "stream-sharded",
-                    f"{label}: sharded round trip changed the directives",
-                )
-            )
-            return out
-        pairs = _stream_requests(trace)
-        requests = [rq for rq, _ in pairs]
-        chunk = max(1, min(shard + shard // 2, n))  # straddle shards
-        streamed = stream_simulate(reloaded, requests, chunk_size=chunk)
-        for (request, want), got in zip(pairs, streamed):
-            if _result_fields(got) != _result_fields(want):
-                out.append(
-                    Divergence(
-                        "stream-sharded",
-                        f"{label}: {request.label()} off-disk "
-                        f"{_result_fields(got)} vs reference "
-                        f"{_result_fields(want)}",
-                    )
-                )
     return out
 
 
@@ -1505,15 +1370,12 @@ def check_program(
         )
         if trace is None or not len(trace.pages):
             continue
-        out.extend(check_stream_metrics(trace, label))
         if deep:
             out.extend(check_lru_inclusion(trace, label))
             out.extend(check_ws_window(trace, label))
             out.extend(check_cd_lru_prefix(trace, label))
             out.extend(check_cd_locks(trace, label))
             out.extend(check_event_conservation(trace, label))
-            out.extend(check_stream_events(trace, label))
-            out.extend(check_stream_sharded(trace, label))
             if label == "alloc":
                 out.extend(check_pool_conservation(trace, label))
     return out

@@ -1,4 +1,4 @@
-"""Exact fast replays: closed-form CD, fault-to-fault PFF and OPT.
+"""Exact fast replays: closed-form CD, fault-to-fault PFF, OPT and FIFO.
 
 Each replay here reproduces, number for number, driving the matching
 event-driven policy through :func:`~repro.vm.simulator.simulate`
@@ -42,19 +42,21 @@ events are not synthesized (recovering victim identity would need the
 full LRU stack); use the event-driven simulator when eviction order
 matters.
 
-**PFF and OPT** (:func:`simulate_pff_fast`, :func:`simulate_opt_fast`)
-move from fault to fault: the resident set is fixed between faults, so
-the next fault is the first reference outside it, found by a short
-scalar look-ahead and then widening vectorized windows.  Both reduce to
-every reference's previous or next occurrence
+**PFF, OPT and FIFO** (:func:`simulate_pff_fast`,
+:func:`simulate_opt_fast`, :func:`simulate_fifo_fast`) move from fault
+to fault: the resident set is fixed between faults, so the next fault
+is the first reference outside it, found by a short scalar look-ahead
+and then widening vectorized windows.  PFF and OPT reduce to every
+reference's previous or next occurrence
 (:func:`~repro.vm.analyzers.previous_occurrences`,
 :func:`~repro.vm.analyzers.next_occurrences`), the reuse-interval view
-of the string.  Neither takes a tracer; traced replays use the
-event-driven policies.
+of the string; FIFO needs only its insertion queue.  None takes a
+tracer; traced replays use the event-driven policies.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -494,6 +496,58 @@ def simulate_opt_fast(trace: ReferenceTrace, frames: int) -> SimulationResult:
         cur = t + 1
     return _fast_result(
         "OPT", trace, frames, faults, mem_sum, fault_mem, FAULT_SERVICE_REFERENCES
+    )
+
+
+def simulate_fifo_fast(trace: ReferenceTrace, frames: int) -> SimulationResult:
+    """Replay ``trace`` under FIFO with ``frames``, fault to fault.
+
+    FIFO orders its pages by insertion, so a hit changes nothing and
+    the resident set is fixed between faults.  A fault with full frames
+    evicts the oldest insertion, as
+    :class:`~repro.vm.policies.fifo.FIFOPolicy` does.  O(1) work per
+    fault, none per hit.
+    """
+    if frames < 1:
+        raise ValueError("FIFO needs at least one frame")
+    pages = trace.pages
+    n = len(pages)
+    page_view = memoryview(pages)
+    is_resident = np.zeros(int(pages.max()) + 1 if n else 0, dtype=bool)
+    resident = set()
+    queue = deque()  # resident pages, oldest insertion first
+    faults = mem_sum = fault_mem = 0
+    size = 0
+    cur = 0
+    while cur < n:
+        t = -1
+        stop = min(n, cur + _LOOKAHEAD)
+        for j in range(cur, stop):
+            if page_view[j] not in resident:
+                t = j
+                break
+        else:
+            t = first_where(pages, stop, n, lambda window: ~is_resident[window])
+        if t < 0:
+            mem_sum += size * (n - cur)
+            break
+        mem_sum += size * (t - cur)
+        if size >= frames:
+            victim = queue.popleft()
+            resident.discard(victim)
+            is_resident[victim] = False
+        else:
+            size += 1
+        page = page_view[t]
+        queue.append(page)
+        resident.add(page)
+        is_resident[page] = True
+        faults += 1
+        mem_sum += size
+        fault_mem += size
+        cur = t + 1
+    return _fast_result(
+        "FIFO", trace, frames, faults, mem_sum, fault_mem, FAULT_SERVICE_REFERENCES
     )
 
 

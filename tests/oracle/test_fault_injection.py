@@ -3,6 +3,7 @@ out as reproducers — the end-to-end acceptance test for the oracle."""
 
 import dataclasses
 import json
+from collections import deque
 
 import numpy as np
 
@@ -102,6 +103,21 @@ def test_over_tight_ws_search_bound_is_caught_and_shrunk(tmp_path, monkeypatch):
     failure = report.failures[0]
     assert failure.check == "metric-ws-min"
     assert (tmp_path / "seed000040-metric.f").read_text() == failure.shrunk_source
+    assert len(failure.shrunk_source) < len(failure.source)
+
+
+def test_fifo_evicting_newest_is_caught_and_shrunk(tmp_path, monkeypatch):
+    class NewestFirst(deque):
+        def popleft(self):
+            return self.pop()  # evicts the newest insertion
+
+    monkeypatch.setattr(fastsim, "deque", NewestFirst)
+    report = verify(seeds=2, out_dir=tmp_path, deep=False)
+    assert not report.ok
+    failure = report.failures[0]
+    assert failure.check == "metric-fifo"
+    src = tmp_path / f"seed{failure.seed:06d}-metric.f"
+    assert src.read_text() == failure.shrunk_source
     assert len(failure.shrunk_source) < len(failure.source)
 
 

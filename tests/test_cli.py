@@ -88,20 +88,6 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             main(["simulate", "TQL", "--policy", "MAGIC"])
 
-    def test_stream_matches_event_driven(self, capsys):
-        assert main(["simulate", "TQL", "--policy", "LRU", "--frames", "4"]) == 0
-        plain = capsys.readouterr().out
-        args = ["simulate", "TQL", "--policy", "LRU", "--frames", "4"]
-        assert main([*args, "--stream"]) == 0
-        assert capsys.readouterr().out == plain
-        assert main([*args, "--stream", "--chunk-size", "97"]) == 0
-        assert capsys.readouterr().out == plain
-
-    @pytest.mark.parametrize("policy", ["CLOCK", "CD"])
-    def test_stream_rejects_policy(self, policy):
-        with pytest.raises(SystemExit, match="supports LRU, FIFO, and WS"):
-            main(["simulate", "TQL", "--policy", policy, "--stream"])
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -112,14 +98,19 @@ class TestSimulate:
             "simulate TQL --policy PFF --tau 0",
             "simulate TQL --pi-cap 0",
             "simulate TQL --memory-limit 0",
-            "simulate TQL --policy LRU --stream --chunk-size 0",
-            "simulate TQL --policy LRU --stream --chunk-size -1",
-            "simulate TQL --policy LRU --stream --backend numpy",
+            "simulate TQL --policy LRU --stream",
             "trace TQL --policy LRU --frames 0",
             "trace TQL --policy WS --tau 0",
             "trace TQL --policy CD --pi-cap 0",
             "trace TQL --policy CD --memory-limit 0",
             "trace TQL --policy LRU --sample-every 0",
+            "verify --seeds 0",
+            "verify --seeds -3",
+            "multiprog --frames 0",
+            "multiprog --cpus 0",
+            "multiprog --max-refs 0",
+            "multiprog --horizon 0",
+            "multiprog --run-horizon 0",
         ],
     )
     def test_bad_arguments_exit_2(self, argv, capsys):

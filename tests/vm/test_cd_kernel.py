@@ -4,8 +4,8 @@ Random directive lists — ALLOCATEs with 1–4 requests, LOCK/UNLOCK with
 0–5 pages, empty lists, a position equal to ``len(pages)``, and ALLOCATE
 bursts at one position whose targets dip and then rise — must
 
-* round-trip from events to :class:`DirectiveTable` to ``.npz`` (and
-  the sharded manifest) and back unchanged;
+* round-trip from events to :class:`DirectiveTable` to ``.npz`` and
+  back unchanged;
 * replay under the closed form (:func:`simulate_cd_fast`, with and
   without a tracer) and under the structure walk exactly as the
   event-driven ``simulate(trace, CDPolicy(config))`` does, for every
@@ -34,12 +34,7 @@ from repro.tracegen.events import (
     DirectiveTable,
     ReferenceTrace,
 )
-from repro.tracegen.io import (
-    load_trace,
-    open_sharded_trace,
-    save_trace,
-    save_trace_sharded,
-)
+from repro.tracegen.io import load_trace, save_trace
 from repro.vm.fastsim import cd_schedule, simulate_cd_fast
 from repro.vm.policies import CDConfig, CDPolicy
 from repro.vm.simulator import simulate
@@ -145,10 +140,6 @@ def test_directives_round_trip_through_table_and_disk(trace):
         loaded = load_trace(save_trace(trace, Path(tmp) / "t", compress=False))
         assert loaded.directive_table == table
         assert loaded.directives == events
-        save_trace_sharded(trace, Path(tmp) / "sharded", shard_size=64)
-        sharded = open_sharded_trace(Path(tmp) / "sharded")
-        assert sharded.directive_table == table
-        assert sharded.directives == events
 
 
 @given(trace=traces())

@@ -1,12 +1,15 @@
-"""Fault-to-fault PFF and OPT replays against their event-driven policies.
+"""Fault-to-fault PFF, OPT and FIFO replays against their event-driven
+policies.
 
-:func:`simulate_pff_fast` and :func:`simulate_opt_fast` must equal
-``simulate(trace, PFFPolicy(T))`` and ``simulate(trace, OPTPolicy(m))``
+:func:`simulate_pff_fast`, :func:`simulate_opt_fast` and
+:func:`simulate_fifo_fast` must equal ``simulate(trace, PFFPolicy(T))``,
+``simulate(trace, OPTPolicy(m))`` and ``simulate(trace, FIFOPolicy(m))``
 in faults, MEM and ST on every string: random ones (uniform and with
 phase locality, long enough to leave the scalar look-ahead), the empty
 string, one page, all-distinct pages, T=1, T past the string's length,
 and frames at or above the distinct-page count — and on the catalog
-traces at every PFF threshold and OPT frame count the policy zoo tries.
+traces at every PFF threshold and OPT frame count the policy zoo tries,
+and at the zoo's LRU, FIFO and WS parameters.
 """
 
 import numpy as np
@@ -15,9 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments import ablations
 from repro.vm.analyzers import next_occurrences, previous_occurrences
-from repro.vm.fastsim import simulate_opt_fast, simulate_pff_fast
-from repro.vm.policies import OPTPolicy, PFFPolicy
+from repro.experiments.runner import WorkloadArtifacts
+from repro.vm.fastsim import simulate_fifo_fast, simulate_opt_fast, simulate_pff_fast
+from repro.vm.policies import (
+    FIFOPolicy,
+    LRUPolicy,
+    OPTPolicy,
+    PFFPolicy,
+    WorkingSetPolicy,
+)
 from repro.vm.simulator import simulate
+from repro.vm.stream import stream_simulate
 from repro.workloads import workload_names
 
 from .conftest import make_trace
@@ -48,6 +59,12 @@ def _check_opt(pages, frames):
     assert _fields(fast) == _fields(simulate(trace, OPTPolicy(frames=frames)))
 
 
+def _check_fifo(pages, frames):
+    trace = make_trace(pages)
+    fast = simulate_fifo_fast(trace, frames)
+    assert _fields(fast) == _fields(simulate(trace, FIFOPolicy(frames=frames)))
+
+
 @st.composite
 def strings(draw):
     """Uniform strings, or phases of locality that leave long hit runs."""
@@ -76,6 +93,12 @@ def test_opt_fast_matches_policy(pages, frames):
     _check_opt(pages, frames)
 
 
+@settings(max_examples=150, deadline=None)
+@given(strings(), st.sampled_from([1, 2, 3, 4, 7, 30, 100]))
+def test_fifo_fast_matches_policy(pages, frames):
+    _check_fifo(pages, frames)
+
+
 EDGE_STRINGS = {
     "empty": [],
     "one-page": [7],
@@ -95,6 +118,12 @@ def test_pff_edge_strings(name, threshold):
 @pytest.mark.parametrize("frames", [1, 2, 9, 500])
 def test_opt_edge_strings(name, frames):
     _check_opt(EDGE_STRINGS[name], frames)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_STRINGS))
+@pytest.mark.parametrize("frames", [1, 2, 9, 500])
+def test_fifo_edge_strings(name, frames):
+    _check_fifo(EDGE_STRINGS[name], frames)
 
 
 def test_pff_shrink_after_long_hit_run():
@@ -122,6 +151,8 @@ def test_parameters_validated():
         simulate_pff_fast(trace, 0)
     with pytest.raises(ValueError):
         simulate_opt_fast(trace, 0)
+    with pytest.raises(ValueError):
+        simulate_fifo_fast(trace, 0)
 
 
 def test_next_occurrences():
@@ -134,9 +165,11 @@ def test_next_occurrences():
 @pytest.mark.parametrize("name", workload_names())
 def test_zoo_replays_match_policies(name, monkeypatch):
     """Each catalog row of the policy zoo: every threshold the PFF
-    search tries, and OPT at CD's frames, equal the event-driven
-    policies (the long traces drive the widening windows and hit runs)."""
-    tried = {"PFF": [], "OPT": []}
+    search tries, OPT at CD's frames, and the LRU, FIFO and WS columns
+    equal the event-driven policies (the long traces drive the widening
+    windows and hit runs)."""
+    tried = {"PFF": [], "OPT": [], "columns": []}
+    references = {"LRU": LRUPolicy, "FIFO": FIFOPolicy, "WS": WorkingSetPolicy}
 
     def checked_pff(trace, threshold, prev=None):
         fast = simulate_pff_fast(trace, threshold, prev=prev)
@@ -151,8 +184,24 @@ def test_zoo_replays_match_policies(name, monkeypatch):
         tried["OPT"].append(frames)
         return fast
 
+    real_columns = WorkloadArtifacts.policy_results
+
+    def checked_columns(artifacts, requests):
+        results = real_columns(artifacts, requests)
+        # without the workload's sweeps, stream_simulate builds its own
+        rebuilt = stream_simulate(artifacts.trace, requests)
+        for request, fast, again in zip(requests, results, rebuilt):
+            slow = simulate(
+                artifacts.trace, references[request.kind](request.parameter())
+            )
+            assert _fields(fast) == _fields(slow) == _fields(again), request.label()
+            tried["columns"].append(request.kind)
+        return results
+
     monkeypatch.setattr(ablations, "simulate_pff_fast", checked_pff)
     monkeypatch.setattr(ablations, "simulate_opt_fast", checked_opt)
+    monkeypatch.setattr(WorkloadArtifacts, "policy_results", checked_columns)
     ablations.policy_zoo([name])
     assert len(tried["OPT"]) == 1
     assert 1 in tried["PFF"] and len(tried["PFF"]) >= 4
+    assert tried["columns"] == ["LRU", "FIFO", "WS"]
