@@ -12,10 +12,11 @@ built with :meth:`Surrogate.from_parts`.  Every number matches the
 trace-backed artifacts exactly (Table 2 produced either way is
 identical); only the cost differs.
 
-CD configurations the structure walk cannot serve (a memory ceiling,
-honored LOCKs, or a journal the walk rejects) replay the exact trace
-that the string expands to (kept pages plus copies of each run's
-block), built once per artifact and never regenerated from source.
+The structure walk serves every CD configuration without honored
+LOCKs, memory ceilings included.  Honored LOCKs (and a journal the
+walk rejects) replay fault to fault on the exact trace that the string
+expands to (kept pages plus copies of each run's block), built once
+per artifact and never regenerated from source.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ from repro.experiments.runner import (
 from repro.tracegen import io as trace_io
 from repro.tracegen.events import ReferenceTrace
 from repro.vm.analyzers import LRUSweep
-from repro.vm.fastsim import cd_fast_applicable, simulate_cd_fast
+from repro.vm.fastsim import simulate_cd_fast
 from repro.vm.metrics import SimulationResult
-from repro.vm.policies import CDConfig, CDPolicy
-from repro.vm.simulator import simulate
+from repro.vm.policies import CDConfig
 from repro.workloads import get_workload
 
 __all__ = ["StaticArtifacts", "static_artifacts_for", "clear_static_cache"]
@@ -78,23 +78,20 @@ class StaticArtifacts:
     _exact: Optional[ReferenceTrace] = field(default=None, repr=False)
 
     def cd_result(self, config: Optional[CDConfig] = None) -> SimulationResult:
-        """CD replay: structure walk when the closed form applies,
-        exact fallback otherwise (ceiling / LOCK pinning / a journal
-        the walk rejects)."""
+        """CD replay: the structure walk, or the exact trace's
+        fault-to-fault replay for honored LOCKs and for a journal the
+        walk rejects."""
         config = config or CDConfig()
         t0 = time.perf_counter()
         try:
-            if cd_fast_applicable(self.string, config):
-                try:
-                    return simulate_cd_symbolic(
-                        self.runtrace,
-                        config,
-                        surrogate=self.surrogate,
-                        kept_distances=self.lru._distances,
-                    )
-                except ValueError:
-                    return simulate_cd_fast(self._exact_trace(), config)
-            return simulate(self._exact_trace(), CDPolicy(config))
+            return simulate_cd_symbolic(
+                self.runtrace,
+                config,
+                surrogate=self.surrogate,
+                kept_distances=self.lru._distances,
+            )
+        except ValueError:
+            return simulate_cd_fast(self._exact_trace(), config)
         finally:
             STATS.add(
                 "simulate", time.perf_counter() - t0, self.string.n_references

@@ -60,16 +60,16 @@ def simulate_cd_symbolic(
     ``LRUSweep(surrogate.kept_pages)._distances`` to share work with
     :class:`~repro.analysis.symbolic.locality.SymbolicLRU`, or leave
     None to compute them here.  Raises :exc:`ValueError` when the
-    closed form does not apply (ceiling/LOCK, like the fast path) or a
-    directive lands inside a collapsed span (never for detector-built
-    journals — re-checked anyway).
+    closed form does not apply (honored LOCKs, which the fast path
+    replays fault to fault) or a directive lands inside a collapsed
+    span (never for detector-built journals — re-checked anyway).
     """
     trace = runtrace.trace
     config = config or CDConfig()
     n = len(trace.pages)
+    if config.honor_locks and trace.directive_table.has_locks:
+        raise ValueError("LOCK pinning needs the fault-to-fault replay")
     schedule = cd_schedule(trace.directive_table, config, n)
-    if schedule is None:
-        raise ValueError("trace/config requires the event-driven simulator")
     s = surrogate if surrogate is not None else Surrogate(trace.pages, runtrace.runs)
     if kept_distances is None:
         from repro.vm.analyzers import LRUSweep
@@ -126,9 +126,8 @@ def simulate_cd_symbolic(
         space_time=float(mem_sum + fault_mem * fault_service),
         parameter=config.pi_cap,
         fault_service=fault_service,
-        swaps=0,
-        denied_requests=0,
-        lock_releases=0,
+        swaps=schedule.swaps,
+        denied_requests=schedule.denials,
     )
 
 

@@ -54,6 +54,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -85,6 +86,56 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _comma_list(item, name: str):
+    """argparse type for a comma-separated list, each entry parsed by
+    ``item`` (which raises ValueError with the reason); an empty string
+    is an empty list."""
+
+    def parse(text: str) -> list:
+        values = []
+        for part in text.split(",") if text else []:
+            try:
+                values.append(item(part))
+            except ValueError as err:
+                raise argparse.ArgumentTypeError(
+                    f"invalid {name} {part!r}: {err}"
+                ) from None
+        return values
+
+    return parse
+
+
+def _offered_load(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("must be a finite positive number")
+    return value
+
+
+def _admission_name(text: str) -> str:
+    from repro.vm.multiprog import ADMISSION_POLICIES
+
+    if text not in ADMISSION_POLICIES:
+        raise ValueError(f"known: {', '.join(sorted(ADMISSION_POLICIES))}")
+    return text
+
+
+def _workload_name(text: str) -> str:
+    try:
+        get_workload(text)
+    except KeyError:
+        known = ", ".join(w.name for w in all_workloads())
+        raise ValueError(f"known: {known}") from None
+    return text
+
+
+def _nest_seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("not an integer") from None
 
 
 def _load_program(spec: str):
@@ -325,17 +376,13 @@ def _cmd_multiprog(args) -> int:
         arrival_horizon = 150_000
         run_horizon = 450_000
     else:
-        loads = [float(x) for x in args.loads.split(",")]
-        nest_seeds = (
-            [int(x) for x in args.nest_seeds.split(",")]
-            if args.nest_seeds
-            else []
-        )
-        workloads = args.workloads.split(",") if args.workloads else []
+        loads = args.loads
+        nest_seeds = args.nest_seeds
+        workloads = args.workloads
         frames = args.frames
         arrival_horizon = args.horizon
         run_horizon = args.run_horizon
-    policies = args.policies.split(",")
+    policies = args.policies
 
     profiles = []
     if workloads:
@@ -933,11 +980,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--policies",
+        type=_comma_list(_admission_name, "admission policy"),
         default="uncontrolled,knee,ws,cd",
         help="comma-separated admission policies to sweep",
     )
     p.add_argument(
         "--loads",
+        type=_comma_list(_offered_load, "load"),
         default="0.25,0.5,1.0,2.0,4.0",
         help="comma-separated offered loads (fraction of CPU capacity)",
     )
@@ -946,12 +995,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="arrival-stream seed")
     p.add_argument(
         "--workloads",
+        type=_comma_list(_workload_name, "workload"),
         default="",
         help="comma-separated traced benchmark names (default mix if no "
         "--workloads/--nest-seeds given)",
     )
     p.add_argument(
         "--nest-seeds",
+        type=_comma_list(_nest_seed, "nest seed"),
         default="",
         dest="nest_seeds",
         help="comma-separated fuzzer seeds for generated nest jobs",

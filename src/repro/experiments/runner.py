@@ -14,9 +14,10 @@ needs the same artifacts.  Three layers keep that cost paid once:
 * a process-pool warm-up (:func:`warm_artifacts`) that builds missing
   cache entries for many workloads in parallel (``--jobs``).
 
-CD replays go through the closed-form fast path
-(:mod:`repro.vm.fastsim`) whenever it is exact, and fall back to the
-event-driven simulator for memory ceilings and LOCK pinning.
+CD replays go through :func:`repro.vm.fastsim.simulate_cd_fast`, which
+is exact for every configuration; only a traced replay under a memory
+ceiling or LOCK pinning runs the event-driven simulator, whose policy
+emits the denial, eviction and pin events.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.tracegen import io as trace_io
 from repro.tracegen.events import ReferenceTrace
 from repro.tracegen.interpreter import generate_trace
 from repro.vm.analyzers import LRUSweep, WSSweep
-from repro.vm.fastsim import cd_fast_applicable, simulate_cd_fast
+from repro.vm.fastsim import simulate_cd_fast, synthesizes_events
 from repro.vm.metrics import SimulationResult
 from repro.vm.policies import CDConfig, CDPolicy
 from repro.vm.simulator import simulate
@@ -139,9 +140,8 @@ class WorkloadArtifacts:
     def cd_result(self, config: Optional[CDConfig] = None) -> SimulationResult:
         """Replay the trace under CD with ``config``.
 
-        Uses the closed-form replay when it is provably exact (no
-        memory ceiling, no LOCK pinning); the event-driven simulator
-        otherwise.
+        Uses the fast replay, except that a traced replay under a
+        memory ceiling or LOCK pinning runs the event-driven simulator.
         """
         config = config or CDConfig()
         tracer = None
@@ -154,7 +154,7 @@ class WorkloadArtifacts:
             )
         t0 = time.perf_counter()
         try:
-            if cd_fast_applicable(self.trace, config):
+            if tracer is None or synthesizes_events(self.trace.directive_table, config):
                 result = simulate_cd_fast(
                     self.trace,
                     config,
@@ -162,12 +162,11 @@ class WorkloadArtifacts:
                     tracer=tracer,
                 )
             else:
-                sample = max(1, len(self.trace.pages) // 4096)
                 result = simulate(
                     self.trace,
                     CDPolicy(config),
                     tracer=tracer,
-                    sample_interval=sample if tracer is not None else 1,
+                    sample_interval=max(1, len(self.trace.pages) // 4096),
                 )
         finally:
             if tracer is not None:

@@ -6,8 +6,9 @@ identified by the ``check`` field of a :class:`Divergence`):
 * ``trace-*`` — the affine trace compiler against the pure interpreter
   (element-for-element pages, directive events, truncation), plus the
   frontend parse → unparse → parse round-trip;
-* ``metric-*`` — the closed-form CD replay, the fault-to-fault PFF,
-  OPT and FIFO replays and the one-pass LRU/WS analyzers against the
+* ``metric-*`` — the fast CD replay (closed form, fault to fault
+  under LOCKs, ceilings included), the fault-to-fault PFF, OPT and
+  FIFO replays and the one-pass LRU/WS analyzers against the
   event-driven simulator, and the pruned WS minimum-ST search against
   the same search rule run on point queries;
 * ``invariant-*`` — policy laws that hold independently of any fast
@@ -94,6 +95,34 @@ def _result_fields(result) -> Tuple:
         result.mem_average,
         result.space_time,
     )
+
+
+def _cd_fields(result) -> Tuple:
+    return _result_fields(result) + (
+        result.swaps,
+        result.denied_requests,
+        result.lock_releases,
+    )
+
+
+def _cd_samples(trace: ReferenceTrace) -> List[CDConfig]:
+    """CD configurations the fast replay must match: LOCKs honored at
+    PI caps {None, 1, 2}, with and without a ceiling; the ceilings 1, 3
+    and ⌊V/2⌋; a floor above the ceiling; LOCKs ignored."""
+    half = max(1, trace.total_pages // 2)
+    return [
+        *(
+            CDConfig(pi_cap=cap, memory_limit=limit)
+            for cap in (None, 1, 2)
+            for limit in (None, 3)
+        ),
+        CDConfig(memory_limit=1),
+        CDConfig(pi_cap=2, memory_limit=half),
+        CDConfig(min_allocation=3),
+        CDConfig(min_allocation=5, memory_limit=3),
+        CDConfig(honor_locks=False),
+        CDConfig(honor_locks=False, memory_limit=half),
+    ]
 
 
 # -- check class 1: trace equivalence ----------------------------------------
@@ -299,37 +328,15 @@ def check_metrics(trace: ReferenceTrace, label: str) -> List[Divergence]:
                 f"vs point queries {_result_fields(slow)} @ {slow.parameter}",
             )
         )
-    has_locks = any(d.kind is DirectiveKind.LOCK for d in trace.directives)
-    configs = [
-        CDConfig(),
-        CDConfig(pi_cap=1),
-        CDConfig(pi_cap=2),
-        CDConfig(min_allocation=3),
-        CDConfig(honor_locks=False),
-    ]
-    for config in configs:
-        applicable = fastsim.cd_fast_applicable(trace, config)
-        if applicable != (
-            config.memory_limit is None and not (config.honor_locks and has_locks)
-        ):
-            out.append(
-                Divergence(
-                    "metric-cd",
-                    f"{label}: cd_fast_applicable={applicable} "
-                    f"inconsistent for {config}",
-                )
-            )
-            continue
-        if not applicable:
-            continue
+    for config in _cd_samples(trace):
         fast = fastsim.simulate_cd_fast(trace, config, distances=lru._distances)
         slow = simulate(trace, CDPolicy(config))
-        if _result_fields(fast) != _result_fields(slow) or fast.swaps != slow.swaps:
+        if fast != slow:
             out.append(
                 Divergence(
                     "metric-cd",
-                    f"{label}: {config.label()}: fast "
-                    f"{_result_fields(fast)} vs simulator {_result_fields(slow)}",
+                    f"{label}: {config}: fast "
+                    f"{_cd_fields(fast)} vs simulator {_cd_fields(slow)}",
                 )
             )
     prev = previous_occurrences(trace)
@@ -663,7 +670,9 @@ def check_event_conservation(
                     )
                 )
     config = CDConfig()
-    if slow_faults is not None and fastsim.cd_fast_applicable(trace, config):
+    if slow_faults is not None and fastsim.synthesizes_events(
+        trace.directive_table, config
+    ):
         ring = RingBufferSink()
         fastsim.simulate_cd_fast(trace, config, tracer=Tracer(ring))
         fast_faults = [
@@ -1225,15 +1234,9 @@ def check_static(
 
     # -- CD structure walk over the virtual string vs the fast path ----------
     runtrace = RunTrace(string, string.runs)
-    for config in (
-        CDConfig(),
-        CDConfig(pi_cap=1),
-        CDConfig(pi_cap=2),
-        CDConfig(min_allocation=3),
-        CDConfig(honor_locks=False),
-    ):
-        if not fastsim.cd_fast_applicable(trace, config):
-            continue
+    for config in _cd_samples(trace):
+        if config.honor_locks and trace.directive_table.has_locks:
+            continue  # LOCK pinning replays the exact trace
         slow = fastsim.simulate_cd_fast(
             trace, config, distances=exact_lru._distances
         )
@@ -1248,17 +1251,17 @@ def check_static(
             out.append(
                 Divergence(
                     "static-cd",
-                    f"{label}: {config.label()}: walk rejected a "
+                    f"{label}: {config}: walk rejected a "
                     f"static-built journal: {err}",
                 )
             )
             continue
-        if _result_fields(fast) != _result_fields(slow):
+        if _cd_fields(fast) != _cd_fields(slow):
             out.append(
                 Divergence(
                     "static-cd",
-                    f"{label}: {config.label()}: static "
-                    f"{_result_fields(fast)} vs fast {_result_fields(slow)}",
+                    f"{label}: {config}: static "
+                    f"{_cd_fields(fast)} vs fast {_cd_fields(slow)}",
                 )
             )
 

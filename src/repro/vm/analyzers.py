@@ -77,12 +77,15 @@ def next_occurrences(trace_or_pages: PagesLike) -> np.ndarray:
 
 def _successive_occurrences(pages: np.ndarray):
     """Every pair of consecutive references to one page, as parallel
-    ``(earlier, later)`` index arrays, from one stable sort."""
-    idx = np.arange(len(pages), dtype=np.int64)
-    order = np.lexsort((idx, pages))
-    po = idx[order]
-    same = pages[order][1:] == pages[order][:-1]
-    return po[:-1][same], po[1:][same]
+    ``(earlier, later)`` index arrays, from one stable sort (a radix
+    sort when the pages fit in 16 bits)."""
+    keys = pages
+    if len(pages) and pages.min() >= 0 and pages.max() < 1 << 16:
+        keys = pages.astype(np.uint16)
+    order = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
+    ordered = keys[order]
+    same = ordered[1:] == ordered[:-1]
+    return order[:-1][same], order[1:][same]
 
 
 def lru_frame_stats(

@@ -1,23 +1,25 @@
-"""Exact fast replays: closed-form CD, fault-to-fault PFF, OPT and FIFO.
+"""Exact fast replays: closed-form CD, fault-to-fault PFF, OPT, FIFO and
+pinned CD.
 
 Each replay here reproduces, number for number, driving the matching
 event-driven policy through :func:`~repro.vm.simulator.simulate`
 (asserted by the test suite and the oracle's ``metric-*`` checks); the
 event-driven pairs remain the reference implementation.
 
-**CD** (:func:`simulate_cd_fast`).  The paper's main experiments run CD
-with no physical-memory ceiling and no LOCK directives.  Under those
-conditions the policy degenerates to *LRU with a piecewise-constant
-allocation target*: the resident set is always the top ``r`` entries of
-the global LRU stack, where ``r`` grows by one per fault up to the
-current target and is clamped down whenever an ALLOCATE grants less.  A
-reference faults iff its LRU stack distance exceeds the current ``r`` —
-and stack distances are computed once per trace (shared with
-:class:`~repro.vm.analyzers.LRUSweep`).
+**CD** (:func:`simulate_cd_fast`).  Without LOCK pinning CD
+degenerates to *LRU with a piecewise-constant allocation target*: the
+resident set is always the top ``r`` entries of the global LRU stack,
+where ``r`` grows by one per fault up to the current target and is
+clamped down whenever an ALLOCATE grants less.  A reference faults iff
+its LRU stack distance exceeds the current ``r`` — and stack distances
+are computed once per trace (shared with
+:class:`~repro.vm.analyzers.LRUSweep`).  A memory ceiling changes only
+the grant rule, so it stays in the target schedule.
 
 The replay is one kernel, :func:`replay_cd`, over the *segments*
 between ALLOCATEs.  :func:`cd_schedule` builds the segments from the
-directive columns in one vectorized step (PI-cap choice, the
+directive columns in one vectorized step (PI-cap choice, the grant
+under a ceiling with its deferrals, swaps and denials, the
 ``min_allocation`` floor).  A segment entered at its target stays
 *saturated* — a reference faults iff its distance exceeds the target —
 so with a per-reference target threshold and one prefix count of the
@@ -28,8 +30,8 @@ ALLOCATE that raises the target): each fault there raises ``r`` by one
 until the target is reached, and the rest of the segment is again
 arithmetic.  The structure walk of the trace-free tiers
 (:mod:`repro.analysis.symbolic.cd`) runs the same kernel with its own
-ramp step.  The event-driven CD handles the general case (memory
-ceilings, LOCK pinning).
+ramp step.  Honored LOCKs take pinned pages out of the LRU order, so
+they replay fault to fault instead (:func:`_replay_pinned`, below).
 
 With a ``tracer`` the CD replay *synthesizes* the observability events
 the event-driven path would emit — one :class:`~repro.obs.Fault` per
@@ -39,16 +41,16 @@ samples at each point the (piecewise constant) residency changes — so
 timelines taken on the fast path stay comparable with the reference
 simulator: fault counts and positions match exactly.  Per-eviction
 events are not synthesized (recovering victim identity would need the
-full LRU stack); use the event-driven simulator when eviction order
-matters.
+full LRU stack), nor are the denials, swaps and pins of a ceiling or
+of LOCKs: a traced replay of those runs the event-driven simulator.
 
-**PFF, OPT and FIFO** (:func:`simulate_pff_fast`,
-:func:`simulate_opt_fast`, :func:`simulate_fifo_fast`) move from fault
-to fault: the resident set is fixed between faults, so the next fault
-is the first reference outside it, found by a short scalar look-ahead
-and then widening vectorized windows.  PFF and OPT reduce to every
-reference's previous or next occurrence
-(:func:`~repro.vm.analyzers.previous_occurrences`,
+**PFF, OPT, FIFO and pinned CD** (:func:`simulate_pff_fast`,
+:func:`simulate_opt_fast`, :func:`simulate_fifo_fast`,
+:func:`_replay_pinned`) move from fault to fault: the resident set is
+fixed between faults, so the next fault is the first reference outside
+it, found by a short scalar look-ahead and then widening vectorized
+windows.  PFF, OPT and pinned CD reduce to every reference's previous
+or next occurrence (:func:`~repro.vm.analyzers.previous_occurrences`,
 :func:`~repro.vm.analyzers.next_occurrences`), the reuse-interval view
 of the string; FIFO needs only its insertion queue.  None takes a
 tracer; traced replays use the event-driven policies.
@@ -57,11 +59,16 @@ tracer; traced replays use the event-driven policies.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.tracegen.events import ALLOCATE_CODE, DirectiveTable, ReferenceTrace
+from repro.tracegen.events import (
+    ALLOCATE_CODE,
+    LOCK_CODE,
+    DirectiveTable,
+    ReferenceTrace,
+)
 from repro.vm.analyzers import LRUSweep, next_occurrences, previous_occurrences
 from repro.vm.metrics import FAULT_SERVICE_REFERENCES, SimulationResult
 from repro.vm.policies.cd import CDConfig
@@ -74,64 +81,99 @@ class CDSchedule(NamedTuple):
     runs at target ``targets[s]``: segment 0 at ``min_allocation``,
     segment ``s ≥ 1`` at the target the ALLOCATE in table row
     ``rows[s - 1]`` sets, whose granted request is ``granted[s - 1]``
-    (an index into the table's ``req_*`` columns).  ALLOCATE positions
-    past the string are clamped to its length.
+    (an index into the table's ``req_*`` columns; for a swap the
+    innermost request, which is granted the ceiling; -1 when the
+    ALLOCATE defers and the target carries over).  Targets never
+    exceed the memory ceiling.  ALLOCATE positions past the string are
+    clamped to its length.  ``swaps`` and ``denials`` count the swaps
+    and the denied requests over every ALLOCATE.
     """
 
     bounds: np.ndarray  # int64[E + 2]: 0, ALLOCATE positions, length
     targets: np.ndarray  # int64[E + 1]
     rows: np.ndarray  # int64[E]
     granted: np.ndarray  # int64[E]
+    swaps: int
+    denials: int
 
 
-def _closed_form_applies(table: DirectiveTable, config: CDConfig) -> bool:
-    # UNLOCK events without a prior LOCK are inert, so only LOCK rows
-    # (when honored) and a memory ceiling rule the closed form out.
-    if config.memory_limit is not None:
-        return False
-    return not (config.honor_locks and table.has_locks)
+def synthesizes_events(table: DirectiveTable, config: CDConfig) -> bool:
+    """True when :func:`simulate_cd_fast` can emit a tracer's events:
+    no memory ceiling and no honored LOCK.  Denials, swaps, evictions
+    and pins come only from the event-driven
+    :class:`~repro.vm.policies.cd.CDPolicy`."""
+    return config.memory_limit is None and not (config.honor_locks and table.has_locks)
 
 
-def cd_fast_applicable(trace: ReferenceTrace, config: CDConfig) -> bool:
-    """True when the closed-form replay reproduces the full simulator:
-    the uniprogramming assumption (no memory ceiling) and no LOCK
-    pinning in play."""
-    return _closed_form_applies(trace.directive_table, config)
-
-
-def cd_schedule(
-    table: DirectiveTable, config: CDConfig, length: int
-) -> Optional[CDSchedule]:
+def cd_schedule(table: DirectiveTable, config: CDConfig, length: int) -> CDSchedule:
     """The segment schedule of ``config`` over a string of ``length``
-    references, or None when the closed form does not apply.
+    references.
 
-    Mirrors CDPolicy's grant rule for the no-ceiling case: the first
-    request with ``PI ≤ pi_cap`` (the innermost one when none is), which
-    is always affordable, floored at ``min_allocation``.
+    Mirrors CDPolicy's grant rule.  An ALLOCATE considers its requests
+    with ``PI ≤ pi_cap`` (the innermost one when none is) and grants
+    the first that fits under the ceiling.  When none fits and that
+    innermost request has PI > 1 it defers: the target carries over.
+    Otherwise it counts a swap and grants the ceiling.  Targets are
+    ``min(max(grant, min_allocation), memory_limit)``; the requests
+    tried before the grant (all of them on a deferral or swap) count
+    as denied.
     """
-    if not _closed_form_applies(table, config):
-        return None
+    limit = config.memory_limit
     rows = np.flatnonzero(table.kind == ALLOCATE_CODE)
     first = table.req_offsets[rows]
-    if config.pi_cap is None:
+    swaps = denials = 0
+    deferred = None
+    if config.pi_cap is None and limit is None:
         granted = first
     else:
         last = table.req_offsets[rows + 1] - 1
-        eligible = table.req_pi <= config.pi_cap
-        slots = len(eligible)
-        # index of the first eligible request at or after each slot
-        following = np.where(eligible, np.arange(slots), slots)
+        slots = np.arange(len(table.req_pi))
+        if config.pi_cap is None:
+            eligible = np.ones(len(slots), dtype=bool)
+        else:
+            eligible = table.req_pi <= config.pi_cap
+            if limit is not None:
+                # a row with no eligible request considers its innermost one
+                counts = prefix_sum(eligible)
+                eligible[last[counts[last + 1] == counts[first]]] = True
+        fits = eligible if limit is None else eligible & (table.req_pages <= limit)
+        # index of the first fitting request at or after each slot
+        following = np.where(fits, slots, len(slots))
         following = np.minimum.accumulate(following[::-1])[::-1]
         candidate = following[first]
-        granted = np.where(candidate <= last, candidate, last)
+        fitted = candidate <= last
+        granted = np.where(fitted, candidate, last)
+        if limit is not None:
+            tried = prefix_sum(eligible)
+            denied = tried[np.where(fitted, candidate, last + 1)] - tried[first]
+            denials = int(denied.sum())
+            if not fitted.all():
+                # the innermost eligible request decides: a swap at PI 1
+                preceding = np.maximum.accumulate(np.where(eligible, slots, -1))
+                innermost = preceding[last]
+                swapped = ~fitted & (table.req_pi[innermost] <= 1)
+                swaps = int(swapped.sum())
+                deferred = ~fitted & ~swapped
+                granted = np.where(fitted, candidate, np.where(swapped, innermost, -1))
+    grants = table.req_pages[granted]
+    if deferred is not None:
+        # a swap runs at the ceiling; a deferral carries over (below)
+        grants[~fitted] = limit
     targets = np.empty(len(rows) + 1, dtype=np.int64)
     targets[0] = config.min_allocation
-    np.maximum(table.req_pages[granted], config.min_allocation, out=targets[1:])
+    np.maximum(grants, config.min_allocation, out=targets[1:])
+    if limit is not None:
+        np.minimum(targets, limit, out=targets)
+        if deferred is not None and deferred.any():
+            # forward fill: a deferral keeps the target before it
+            source = np.arange(len(targets))
+            source[1:][deferred] = 0
+            targets = targets[np.maximum.accumulate(source)]
     bounds = np.empty(len(rows) + 2, dtype=np.int64)
     bounds[0] = 0
     np.minimum(table.position[rows], length, out=bounds[1:-1])
     bounds[-1] = length
-    return CDSchedule(bounds, targets, rows, granted)
+    return CDSchedule(bounds, targets, rows, granted, swaps, denials)
 
 
 def prefix_sum(values: np.ndarray, weights: Optional[np.ndarray] = None) -> np.ndarray:
@@ -242,18 +284,53 @@ def simulate_cd_fast(
 ) -> SimulationResult:
     """Replay ``trace`` under CD without a per-reference loop.
 
-    ``distances`` are the trace's LRU stack distances (cold = huge); pass
+    Honored LOCKs replay fault to fault (:func:`_replay_pinned`); every
+    other configuration, memory ceilings included, runs the closed form
+    (:func:`replay_cd`).  ``distances`` are the trace's LRU stack
+    distances (cold = huge), which only the closed form reads; pass
     ``LRUSweep(trace)._distances`` — or leave None to compute them here.
-    Raises ValueError if :func:`cd_fast_applicable` is False.
 
     ``tracer`` (optional) receives synthesized Fault/ALLOCATE/sample
-    events equivalent to the event-driven path's stream.
+    events equivalent to the event-driven path's stream; a traced
+    replay raises ValueError where :func:`synthesizes_events` is False.
     """
     config = config or CDConfig()
-    n = len(trace.pages)
-    schedule = cd_schedule(trace.directive_table, config, n)
-    if schedule is None:
-        raise ValueError("trace/config requires the event-driven simulator")
+    table = trace.directive_table
+    if tracer is not None and not synthesizes_events(table, config):
+        raise ValueError(
+            "a traced replay under a memory ceiling or LOCK pinning needs "
+            "the event-driven simulator"
+        )
+    schedule = cd_schedule(table, config, len(trace.pages))
+    releases = 0
+    if config.honor_locks and table.has_locks:
+        faults, mem_sum, fault_mem, releases = _replay_pinned(trace, config, schedule)
+    else:
+        faults, mem_sum, fault_mem = _replay_closed_form(
+            trace, schedule, distances, tracer
+        )
+    return _fast_result(
+        "CD",
+        trace,
+        config.pi_cap,
+        faults,
+        mem_sum,
+        fault_mem,
+        fault_service,
+        swaps=schedule.swaps,
+        denied_requests=schedule.denials,
+        lock_releases=releases,
+    )
+
+
+def _replay_closed_form(
+    trace: ReferenceTrace,
+    schedule: CDSchedule,
+    distances: Optional[np.ndarray],
+    tracer,
+) -> Tuple[int, int, int]:
+    """``(faults, Σ residency, Σ residency at faults)`` of CD as LRU
+    under the schedule's piecewise-constant target."""
     if distances is None:
         distances = LRUSweep(trace)._distances
     d = distances
@@ -305,10 +382,198 @@ def simulate_cd_fast(
     )
     if tracer is not None:
         _emit_events(tracer, trace, schedule, fault_log, clamps)
+    return faults, mem_sum, fault_mem
 
-    return _fast_result(
-        "CD", trace, config.pi_cap, faults, mem_sum, fault_mem, fault_service
-    )
+
+#: references a fault-to-fault replay tests one by one before it scans
+#: in vectorized windows: dense faults (PFF at T=1 faults on most
+#: references) must not pay a numpy call each
+_LOOKAHEAD = 32
+
+
+def _replay_pinned(
+    trace: ReferenceTrace, config: CDConfig, schedule: CDSchedule
+) -> Tuple[int, int, int, int]:
+    """CD with honored LOCKs, fault to fault: ``(faults, Σ residency,
+    Σ residency at faults, forced lock releases)``.
+
+    :class:`~repro.vm.policies.cd.CDPolicy` keeps its resident pages
+    in LRU order, so the replay keeps each resident page's latest
+    reference and skips runs of hits as :func:`simulate_opt_fast`
+    does.  A shrink evicts the unlocked pages with the oldest latest
+    references, never the page being referenced; under a ceiling a
+    fault with nothing left to evict releases the LOCK site with the
+    highest PJ.  A LOCK never evicts, and an ALLOCATE or UNLOCK evicts
+    only when unlocked residency exceeds the target, so a run of hits
+    crosses every directive that evicts nothing.
+    """
+    pages = trace.pages
+    n = len(pages)
+    table = trace.directive_table
+    limit = config.memory_limit
+    next_use = next_occurrences(pages)
+    page_view = memoryview(pages)
+    resident = bytearray(int(pages.max()) + 1 if n else 0)
+    is_resident = np.frombuffer(resident, dtype=bool)
+    latest: Dict[int, int] = {}  # resident page -> its latest reference
+    age = latest.__getitem__
+    free: Set[int] = set()  # the resident pages no LOCK pins
+    pinned: Dict[int, int] = {}  # page -> the LOCK site pinning it
+    site_pages: Dict[int, Set[int]] = {}
+    site_pj: Dict[int, int] = {}
+    # per directive row: the target a granting ALLOCATE sets, else -1
+    grants = np.full(len(table), -1, dtype=np.int64)
+    granting = schedule.granted >= 0
+    grants[schedule.rows[granting]] = schedule.targets[1:][granting]
+    grants = grants.tolist()
+    target = int(schedule.targets[0])
+    position = table.position.tolist()
+    kind = table.kind.tolist()
+    site_of = table.site.tolist()
+    pj_of = table.pj.tolist()
+    lock_off = table.lock_offsets.tolist()
+    lock_pages = table.lock_pages.tolist()
+    rows = len(position)
+
+    def evict(count: int, exclude: int = -1) -> int:
+        """Evict up to ``count`` free pages, oldest latest reference
+        first, never ``exclude``; the number evicted."""
+        victims = sorted(free, key=age)[:count]
+        if victims and victims[-1] == exclude:
+            victims.pop()
+        for p in victims:
+            free.remove(p)
+            del latest[p]
+            resident[p] = 0
+        return len(victims)
+
+    def release(site: int) -> None:
+        site_pj.pop(site, None)
+        for p in site_pages.pop(site, ()):
+            if pinned.get(p) == site:
+                del pinned[p]
+                if p in latest:
+                    free.add(p)
+
+    def fire(row: int) -> int:
+        """Apply directive ``row``; the free pages it must evict."""
+        nonlocal target
+        k = kind[row]
+        if k == ALLOCATE_CODE:
+            if grants[row] < 0:
+                return 0  # a deferral shrinks nothing
+            target = grants[row]
+            return len(free) - target
+        pages_of = lock_pages[lock_off[row] : lock_off[row + 1]]
+        if k == LOCK_CODE:
+            site = site_of[row]
+            release(site)  # a re-executed LOCK moves its pins
+            fresh = set()
+            for p in pages_of:
+                if p not in pinned:
+                    pinned[p] = site
+                    fresh.add(p)
+                    free.discard(p)
+            if fresh:
+                site_pages[site] = fresh
+                site_pj[site] = pj_of[row]
+            return 0
+        for p in pages_of:
+            site = pinned.pop(p, None)
+            if site is None:
+                continue
+            if p in latest:
+                free.add(p)
+            held = site_pages[site]
+            held.discard(p)
+            if not held:
+                del site_pages[site]
+                del site_pj[site]
+        return len(free) - target
+
+    def enforce_limit(page: int) -> int:
+        """Evict, then release pins highest PJ first, until residency
+        fits the ceiling; the number of releases."""
+        releases = 0
+        while len(latest) > limit:
+            if evict(len(latest) - limit, page) == 0:
+                if not site_pj:
+                    break
+                release(max(site_pj, key=lambda s: (site_pj[s], s)))
+                releases += 1
+        return releases
+
+    faults = mem_sum = fault_mem = releases = 0
+    mark = 0  # Σ residency is counted for the references before ``mark``
+    row = 0
+    cur = 0
+    lookahead = _LOOKAHEAD
+    while True:
+        # fire the directives due before reference ``cur``; ``latest``
+        # is exact up to it
+        while row < rows and position[row] <= cur:
+            excess = fire(row)
+            row += 1
+            if excess > 0:
+                mem_sum += len(latest) * (cur - mark)
+                mark = cur
+                evict(excess)
+        if cur >= n:
+            break
+        due = position[row] if row < rows else n
+        stop = min(due, cur + lookahead)
+        for j in range(cur, stop):
+            page = page_view[j]
+            if page in latest:
+                latest[page] = j
+                continue
+            # a fault: the page joins at the MRU end
+            mem_sum += len(latest) * (j - mark)
+            latest[page] = j
+            resident[page] = 1
+            if page not in pinned:
+                free.add(page)
+            excess = len(free) - target
+            if excess == 1:  # the common shrink: one victim, no sort
+                victim = min(free, key=age)
+                if victim != page:
+                    free.remove(victim)
+                    del latest[victim]
+                    resident[victim] = 0
+            elif excess > 1:
+                evict(excess, page)
+            if limit is not None and len(latest) > limit:
+                releases += enforce_limit(page)
+            size = len(latest)
+            faults += 1
+            mem_sum += size
+            fault_mem += size
+            mark = j + 1
+        cur = stop
+        if stop == due or stop - mark < lookahead:
+            continue
+        # ``lookahead`` hits in a row: find the next miss in vectorized
+        # windows, crossing every directive that evicts nothing
+        t = first_where(pages, stop, n, lambda window: ~is_resident[window])
+        end = n if t < 0 else t
+        excess = 0
+        while row < rows and position[row] <= end:
+            excess = fire(row)
+            row += 1
+            if excess > 0:
+                end = position[row - 1]
+                break
+        # each page's latest reference in the run of hits is the one
+        # whose next use lies past the run
+        run = stop + np.flatnonzero(next_use[stop:end] >= end)
+        latest.update(zip(pages[run].tolist(), run.tolist()))
+        if excess > 0:
+            mem_sum += len(latest) * (end - mark)
+            mark = end
+            evict(excess)
+        cur = end
+    mem_sum += len(latest) * (n - mark)
+    return faults, mem_sum, fault_mem, releases
 
 
 def _emit_events(tracer, trace, schedule: CDSchedule, faults, clamps) -> None:
@@ -359,12 +624,6 @@ def _emit_events(tracer, trace, schedule: CDSchedule, faults, clamps) -> None:
             tracer.emit(obs.ResidentSample(time=position, resident=targets[e + 1]))
     for fault in faults[fi:]:
         emit_fault(*fault)
-
-
-#: references a fault-to-fault replay tests one by one before it scans
-#: in vectorized windows: dense faults (PFF at T=1 faults on most
-#: references) must not pay a numpy call each
-_LOOKAHEAD = 32
 
 
 def simulate_pff_fast(
@@ -559,10 +818,13 @@ def _fast_result(
     mem_sum: int,
     fault_mem: int,
     fault_service: int,
+    swaps: int = 0,
+    denied_requests: int = 0,
+    lock_releases: int = 0,
 ) -> SimulationResult:
     """The metrics of a replay from its integer sums: Σ residency after
-    each reference and Σ residency at faults (a fast replay takes no
-    swaps, denials or lock releases)."""
+    each reference and Σ residency at faults, plus CD's swap, denial and
+    forced-release counts."""
     n = len(trace.pages)
     return SimulationResult(
         policy=policy,
@@ -573,4 +835,7 @@ def _fast_result(
         space_time=float(mem_sum + fault_mem * fault_service),
         parameter=parameter,
         fault_service=fault_service,
+        swaps=swaps,
+        denied_requests=denied_requests,
+        lock_releases=lock_releases,
     )

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 import random
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -1429,8 +1430,8 @@ def poisson_arrivals(
     """
     if not profiles:
         return []
-    if load <= 0:
-        raise ValueError("load must be positive")
+    if not (math.isfinite(load) and load > 0):
+        raise ValueError("load must be a finite positive number")
     if horizon < 1:
         raise ValueError("horizon must be positive")
     rng = random.Random(seed)

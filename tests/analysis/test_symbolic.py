@@ -24,7 +24,8 @@ from repro.tracegen.events import ReferenceTrace
 from repro.tracegen.interpreter import generate_trace
 from repro.vm.analyzers import LRUSweep, WSSweep
 from repro.vm.fastsim import simulate_cd_fast
-from repro.vm.policies import CDConfig
+from repro.vm.policies import CDConfig, CDPolicy
+from repro.vm.simulator import simulate
 
 
 def _trace_of(pages):
@@ -131,15 +132,21 @@ class TestSymbolicCD:
             assert sym.mem_average == fast.mem_average
             assert sym.space_time == fast.space_time
 
-    def test_memory_limit_rejected_like_fast_path(self):
+    def test_ceilings_walked_and_locks_replayed_on_the_expanded_string(self):
         art = static_artifacts_for("INIT")
+        exact = artifacts_for("INIT").trace
+        for config in (CDConfig(memory_limit=4), CDConfig(pi_cap=2, memory_limit=4)):
+            sym = simulate_cd_symbolic(art.runtrace, config, surrogate=art.surrogate)
+            assert sym == simulate(exact, CDPolicy(config))
+        locked = static_artifacts_for("TQL", with_locks=True)
         with pytest.raises(ValueError):
             simulate_cd_symbolic(
-                art.runtrace, CDConfig(memory_limit=4), surrogate=art.surrogate
+                locked.runtrace, CDConfig(), surrogate=locked.surrogate
             )
-        # ...but the artifact-level entry point falls back cleanly.
-        result = art.cd_result(CDConfig(pi_cap=2, memory_limit=4))
-        assert result.page_faults > 0
+        # ...but the artifact-level entry point replays the expanded string
+        config = CDConfig(pi_cap=2, memory_limit=4)
+        want = simulate(artifacts_for("TQL", with_locks=True).trace, CDPolicy(config))
+        assert locked.cd_result(config) == want
 
 
 _NONAFFINE = """\

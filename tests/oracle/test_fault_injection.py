@@ -45,6 +45,40 @@ def test_broken_cd_fast_path_is_caught(tmp_path, monkeypatch):
     assert src.read_text() == failure.shrunk_source
 
 
+def test_lock_replay_shrinking_one_page_short_is_caught(tmp_path, monkeypatch):
+    real = fastsim._replay_pinned
+
+    def one_short(trace, config, schedule):
+        # every shrink stops one page above its target
+        return real(trace, config, schedule._replace(targets=schedule.targets + 1))
+
+    monkeypatch.setattr(fastsim, "_replay_pinned", one_short)
+    report = verify(seeds=2, out_dir=tmp_path, deep=False)
+    assert not report.ok
+    failure = report.failures[0]
+    assert failure.check == "metric-cd"
+    assert failure.detail.startswith("[metric-cd] locks: ")
+    assert "honor_locks=True" in failure.detail
+    src = tmp_path / f"seed{failure.seed:06d}-metric.f"
+    assert src.read_text() == failure.shrunk_source
+
+
+def test_ceiling_schedule_one_page_over_is_caught(tmp_path, monkeypatch):
+    real = fastsim.cd_schedule
+
+    def one_over(table, config, length):
+        if config.memory_limit is not None:
+            config = dataclasses.replace(config, memory_limit=config.memory_limit + 1)
+        return real(table, config, length)
+
+    monkeypatch.setattr(fastsim, "cd_schedule", one_over)
+    report = verify(seeds=2, out_dir=tmp_path, deep=False, shrink=False)
+    assert not report.ok
+    failure = report.failures[0]
+    assert failure.check == "metric-cd"
+    assert "memory_limit=" in failure.detail
+
+
 def test_broken_trace_compiler_is_caught(tmp_path, monkeypatch):
     real = TraceCompiler._commit
 

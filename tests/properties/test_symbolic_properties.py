@@ -9,7 +9,7 @@ journal of the static string (:func:`_pair`):
 * the weighted WS size curve never exceeds the distinct-page count, and
   its fault counts are monotone non-increasing in τ;
 * the CD structure walk's MEM (and every other field) equals the
-  closed-form fast path's on the exact trace;
+  closed-form fast path's on the exact trace, memory ceilings included;
 * the collapse itself conserves references (kept weights sum to n).
 """
 
@@ -22,7 +22,7 @@ from repro.analysis.symbolic import (
     SymbolicWS,
     simulate_cd_symbolic,
 )
-from repro.vm.fastsim import cd_fast_applicable, simulate_cd_fast
+from repro.vm.fastsim import simulate_cd_fast
 from repro.vm.policies import CDConfig
 
 from .test_static_properties import _pair, bound_strategy, seed_strategy
@@ -64,14 +64,21 @@ def test_symbolic_cd_mem_matches_fastsim(seed, bound):
     assume(pair is not None)
     string, trace = pair
     runtrace = RunTrace(string, string.runs)
-    for config in (CDConfig(), CDConfig(pi_cap=1), CDConfig(min_allocation=3)):
-        if not cd_fast_applicable(trace, config):
-            continue
+    for config in (
+        CDConfig(),
+        CDConfig(pi_cap=1),
+        CDConfig(min_allocation=3),
+        CDConfig(memory_limit=3),
+        CDConfig(pi_cap=1, memory_limit=2),
+    ):
+        if config.honor_locks and trace.directive_table.has_locks:
+            continue  # LOCK pinning replays fault to fault on the trace
         sym = simulate_cd_symbolic(runtrace, config, surrogate=string.surrogate())
         fast = simulate_cd_fast(trace, config)
         assert sym.mem_average == fast.mem_average
         assert sym.page_faults == fast.page_faults
         assert sym.space_time == fast.space_time
+        assert (sym.swaps, sym.denied_requests) == (fast.swaps, fast.denied_requests)
 
 
 @given(seed=seed_strategy, bound=bound_strategy)

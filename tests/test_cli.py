@@ -111,6 +111,13 @@ class TestSimulate:
             "multiprog --max-refs 0",
             "multiprog --horizon 0",
             "multiprog --run-horizon 0",
+            "multiprog --loads 0",
+            "multiprog --loads 1,-1",
+            "multiprog --loads abc",
+            "multiprog --loads nan",
+            "multiprog --policies bogus",
+            "multiprog --workloads TQL,BOGUS",
+            "multiprog --nest-seeds abc",
         ],
     )
     def test_bad_arguments_exit_2(self, argv, capsys):
@@ -121,6 +128,33 @@ class TestSimulate:
         assert exc.value.code == 2
         flag = [arg for arg in argv.split() if arg.startswith("--")][-1]
         assert flag in capsys.readouterr().err
+
+    def test_multiprog_list_types(self):
+        import argparse
+
+        from repro.cli import (
+            _admission_name,
+            _comma_list,
+            _nest_seed,
+            _offered_load,
+            _workload_name,
+        )
+
+        loads = _comma_list(_offered_load, "load")
+        assert loads("0.25,4") == [0.25, 4.0]
+        for bad in ("inf", "-inf", "nan", "0", "-1", "abc", "1,,2"):
+            with pytest.raises(argparse.ArgumentTypeError, match="invalid load"):
+                loads(bad)
+        assert _comma_list(_admission_name, "policy")("knee,cd") == ["knee", "cd"]
+        assert _comma_list(_workload_name, "workload")("tql") == ["tql"]
+        assert _comma_list(_nest_seed, "nest seed")("") == []
+        for parse, bad in (
+            (_comma_list(_admission_name, "policy"), "bogus"),
+            (_comma_list(_workload_name, "workload"), "BOGUS"),
+            (_comma_list(_nest_seed, "nest seed"), "1.5"),
+        ):
+            with pytest.raises(argparse.ArgumentTypeError, match="BOGUS|bogus|1.5"):
+                parse(bad)
 
     def test_replays_hit_artifact_cache(self):
         # workload replays must reuse the content-hash artifact cache

@@ -10,9 +10,14 @@ bursts at one position whose targets dip and then rise — must
   without a tracer) and under the structure walk exactly as the
   event-driven ``simulate(trace, CDPolicy(config))`` does, for every
   PI cap and ``min_allocation`` floor — the clamp applying at every
-  ALLOCATE, including ones with no references between them.
+  ALLOCATE, including ones with no references between them;
+* replay under a memory ceiling (both kernels) and under honored LOCKs
+  (the fault-to-fault replay, ceilings included) with every field of
+  the result equal to the policy's: swaps, denials and forced lock
+  releases too.
 """
 
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -43,6 +48,13 @@ CONFIGS = [
     CDConfig(pi_cap=cap, min_allocation=floor, honor_locks=False)
     for cap in (None, 1, 2, 3)
     for floor in (1, 3, 5)
+]
+
+CEILINGS = [
+    CDConfig(pi_cap=cap, memory_limit=limit, min_allocation=floor)
+    for cap in (None, 1, 2)
+    for limit in (1, 3, 8)
+    for floor in (1, 5)
 ]
 
 
@@ -168,6 +180,52 @@ def test_structure_walk_equals_event_driven(trace):
         want = simulate(trace, CDPolicy(config))
         got = simulate_cd_symbolic(runtrace, config, surrogate=surrogate)
         assert _fields(got) == _fields(want)
+    for config in CEILINGS:
+        config = dataclasses.replace(config, honor_locks=False)
+        want = simulate(trace, CDPolicy(config))
+        assert simulate_cd_symbolic(runtrace, config, surrogate=surrogate) == want
+
+
+@given(trace=traces())
+@settings(max_examples=60, deadline=None)
+def test_ceilings_and_locks_equal_event_driven(trace):
+    for config in CEILINGS + [CDConfig(pi_cap=cap) for cap in (None, 1, 2)]:
+        for honor in (True, False):
+            config = dataclasses.replace(config, honor_locks=honor)
+            assert simulate_cd_fast(trace, config) == simulate(trace, CDPolicy(config))
+
+
+def test_lock_cells_replay_as_the_policy_does(lock_cell):
+    trace = lock_cell[-1]
+    tight = max(1, trace.distinct_pages // 8)
+    for cap in (None, 2, 1):
+        for limit in (None, tight):
+            config = CDConfig(pi_cap=cap, memory_limit=limit)
+            assert simulate_cd_fast(trace, config) == simulate(trace, CDPolicy(config))
+
+
+def test_ceiling_defers_swaps_and_counts_past_the_end():
+    pages = np.array([0, 1, 2, 3] * 3 + [4, 5] * 4 + [0, 1], dtype=np.int32)
+    n = len(pages)
+    events = [
+        _allocate(0, 0, [(2, 3)]),  # 3 > 2 and PI 2: defer at the floor
+        _allocate(4, 1, [(2, 6), (1, 2)]),  # 6 denied, then 2 granted
+        _allocate(12, 2, [(1, 5)]),  # nothing fits at PI 1: a swap
+        _allocate(n, 3, [(2, 9), (1, 4)]),  # past the last reference
+    ]
+    lock = DirectiveEvent(4, DirectiveKind.LOCK, 5, lock_pages=(1,), priority_index=2)
+    for directives in (events, events[:1] + [lock] + events[1:]):
+        trace = ReferenceTrace("CEILING", pages, 6, directives)
+        config = CDConfig(memory_limit=2)
+        want = simulate(trace, CDPolicy(config))
+        assert (want.swaps, want.denied_requests) == (2, 5)
+        assert simulate_cd_fast(trace, config) == want
+        if len(directives) == len(events):
+            runtrace = RunTrace(trace, [])
+            assert simulate_cd_symbolic(runtrace, config) == want
+    schedule = cd_schedule(trace.directive_table, config, n)
+    assert schedule.targets.tolist() == [1, 1, 2, 2, 2]
+    assert schedule.granted.tolist() == [-1, 2, 3, 5]
 
 
 def test_burst_clamps_between_references():
@@ -206,6 +264,23 @@ def test_schedule_pi_cap_choice_and_floor():
     locked = DirectiveTable.from_events(
         [DirectiveEvent(0, DirectiveKind.LOCK, 0, lock_pages=(1,), priority_index=2)]
     )
-    assert cd_schedule(locked, CDConfig(), 4) is None
-    assert cd_schedule(locked, CDConfig(honor_locks=False), 4) is not None
-    assert cd_schedule(table, CDConfig(memory_limit=8), 4) is None
+    assert cd_schedule(locked, CDConfig(), 4).targets.tolist() == [1]
+
+
+def test_schedule_under_a_ceiling():
+    table = DirectiveTable.from_events(
+        [
+            _allocate(0, 0, [(3, 9), (2, 4), (1, 2)]),
+            _allocate(5, 1, [(3, 7)]),
+        ]
+    )
+    for cap, limit, targets, granted, swaps, denials in (
+        (None, 8, [1, 4, 7], [1, 3], 0, 1),
+        (None, 3, [1, 2, 2], [2, -1], 0, 3),  # 7 > 3 at PI 3: deferred
+        (None, 1, [1, 1, 1], [2, -1], 1, 4),  # nothing fits at PI 1: a swap
+        (1, 1, [1, 1, 1], [2, -1], 1, 2),  # only the PI-1 request competes
+    ):
+        schedule = cd_schedule(table, CDConfig(pi_cap=cap, memory_limit=limit), 6)
+        assert schedule.targets.tolist() == targets
+        assert schedule.granted.tolist() == granted
+        assert (schedule.swaps, schedule.denials) == (swaps, denials)

@@ -1,14 +1,17 @@
-"""The closed-form CD replay must *decline* the cases it cannot model —
-LOCK pinning and finite memory ceilings — and the experiment layer must
-route those to the event-driven simulator."""
+"""Every untraced CD replay goes through ``simulate_cd_fast``, LOCK
+pinning and memory ceilings included; only a traced replay of those
+configurations runs the event-driven simulator, whose policy emits the
+denial, eviction and pin events."""
 
 import pytest
 
 from repro.experiments import runner as runner_mod
-from repro.experiments.runner import artifacts_for, clear_cache
+from repro.experiments.runner import artifacts_for, clear_cache, replay_options
+from repro.obs import RingBufferSink, Tracer
 from repro.tracegen.events import DirectiveEvent, DirectiveKind
-from repro.vm.fastsim import cd_fast_applicable, simulate_cd_fast
-from repro.vm.policies import CDConfig
+from repro.vm.fastsim import simulate_cd_fast
+from repro.vm.policies import CDConfig, CDPolicy
+from repro.vm.simulator import simulate
 
 from .conftest import make_trace
 
@@ -27,32 +30,18 @@ def _lock_trace():
     return make_trace([0, 1, 2, 0, 1, 2], directives=[lock, unlock])
 
 
-def test_memory_limit_disqualifies_fast_path():
-    trace = make_trace([0, 1, 2] * 4)
-    assert cd_fast_applicable(trace, CDConfig())
-    assert not cd_fast_applicable(trace, CDConfig(memory_limit=8))
-    assert not cd_fast_applicable(trace, CDConfig(memory_limit=1))
-
-
-def test_lock_events_disqualify_fast_path_only_when_honored():
-    trace = _lock_trace()
-    assert not cd_fast_applicable(trace, CDConfig(honor_locks=True))
-    assert cd_fast_applicable(trace, CDConfig(honor_locks=False))
-
-
-def test_unlock_without_lock_is_inert():
+def test_traced_replay_refuses_what_it_cannot_synthesize():
+    tracer = Tracer(RingBufferSink())
+    with pytest.raises(ValueError):
+        simulate_cd_fast(make_trace([0, 1, 2]), CDConfig(memory_limit=4), tracer=tracer)
+    with pytest.raises(ValueError):
+        simulate_cd_fast(_lock_trace(), CDConfig(honor_locks=True), tracer=tracer)
+    # ignored LOCKs, and an UNLOCK without a LOCK, trace in closed form
+    simulate_cd_fast(_lock_trace(), CDConfig(honor_locks=False), tracer=tracer)
     unlock = DirectiveEvent(
         position=2, kind=DirectiveKind.UNLOCK, site=1, lock_pages=(0,)
     )
-    trace = make_trace([0, 1, 2, 0], directives=[unlock])
-    assert cd_fast_applicable(trace, CDConfig(honor_locks=True))
-
-
-def test_simulate_cd_fast_refuses_inapplicable_configs():
-    with pytest.raises(ValueError):
-        simulate_cd_fast(make_trace([0, 1, 2]), CDConfig(memory_limit=4))
-    with pytest.raises(ValueError):
-        simulate_cd_fast(_lock_trace(), CDConfig(honor_locks=True))
+    simulate_cd_fast(make_trace([0, 1, 2, 0], directives=[unlock]), tracer=tracer)
 
 
 @pytest.fixture
@@ -63,44 +52,32 @@ def artifacts(monkeypatch, tmp_path):
     clear_cache(disk=False)
 
 
-def test_cd_result_dispatches_to_event_driven_under_locks(
-    artifacts, monkeypatch
-):
+CONFIGS = [
+    CDConfig(honor_locks=True),
+    CDConfig(pi_cap=1, honor_locks=True),
+    CDConfig(memory_limit=4),
+    CDConfig(pi_cap=2, memory_limit=6, honor_locks=False),
+]
+
+
+def test_untraced_replays_never_run_the_simulator(artifacts, monkeypatch):
     def forbidden(*_args, **_kwargs):  # pragma: no cover - failure path
-        raise AssertionError("fast path used where it is not exact")
+        raise AssertionError("an untraced CD replay ran event-driven")
 
+    monkeypatch.setattr(runner_mod, "simulate", forbidden)
+    for config in CONFIGS:
+        result = artifacts.cd_result(config)
+        assert result == simulate(artifacts.trace, CDPolicy(config))
+
+
+def test_traced_lock_replay_runs_the_simulator(artifacts, monkeypatch, tmp_path):
+    def forbidden(*_args, **_kwargs):  # pragma: no cover - failure path
+        raise AssertionError("a traced LOCK replay cannot synthesize its events")
+
+    config = CDConfig(honor_locks=True)
+    untraced = artifacts.cd_result(config)
     monkeypatch.setattr(runner_mod, "simulate_cd_fast", forbidden)
-    # the instrumented TQL trace carries LOCK events: must go slow
-    result = artifacts.cd_result(CDConfig(honor_locks=True))
-    assert result.page_faults > 0
-    # ... and a finite ceiling must go slow as well
-    limited = artifacts.cd_result(CDConfig(memory_limit=16))
-    assert limited.mem_average <= 16
-
-
-def test_cd_result_uses_fast_path_when_exact(artifacts, monkeypatch):
-    calls = []
-    real = runner_mod.simulate_cd_fast
-
-    def spying(trace, config, distances=None, tracer=None):
-        calls.append(config)
-        return real(trace, config, distances=distances, tracer=tracer)
-
-    monkeypatch.setattr(runner_mod, "simulate_cd_fast", spying)
-    result = artifacts.cd_result(CDConfig(honor_locks=False))
-    assert calls and result.references == len(artifacts.trace.pages)
-
-
-def test_fast_and_slow_agree_when_both_apply(artifacts):
-    config = CDConfig(honor_locks=False)
-    fast = simulate_cd_fast(
-        artifacts.trace, config, distances=artifacts.lru._distances
-    )
-    slow = runner_mod.simulate(
-        artifacts.trace, runner_mod.CDPolicy(config)
-    )
-    assert (fast.page_faults, fast.mem_average, fast.space_time) == (
-        slow.page_faults,
-        slow.mem_average,
-        slow.space_time,
-    )
+    with replay_options(timelines=tmp_path):
+        traced = artifacts.cd_result(config)
+    assert traced == untraced
+    assert list(tmp_path.glob("tql-cd-*.jsonl"))

@@ -311,7 +311,8 @@ class TestPoissonArrivals:
     def test_empty_and_bad_args(self):
         p = profile(CYCLIC8)
         assert poisson_arrivals([], load=1.0, horizon=1000) == []
-        with pytest.raises(ValueError):
-            poisson_arrivals([p], load=0.0, horizon=1000)
+        for load in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                poisson_arrivals([p], load=load, horizon=1000)
         with pytest.raises(ValueError):
             poisson_arrivals([p], load=1.0, horizon=0)
