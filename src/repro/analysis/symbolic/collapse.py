@@ -41,17 +41,6 @@ _INFINITE_DISTANCE = np.int64(2**62)
 MIN_REPEATS = 4
 
 
-def _runs_in_interval(
-    pages: np.ndarray, s: int, e: int, b: int, min_repeats: int
-) -> List[Run]:
-    """Maximal verified runs of period ``b`` inside ``pages[s:e]``."""
-    if e - s < b * min_repeats:
-        return []
-    mis = np.flatnonzero(pages[s : e - b] != pages[s + b : e])
-    mis += s
-    return _runs_between(mis, 0, len(mis), s, e, b, min_repeats)
-
-
 def _runs_between(
     mis: np.ndarray, i0: int, i1: int, s: int, e: int, b: int, min_repeats: int
 ) -> List[Run]:

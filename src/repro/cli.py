@@ -510,41 +510,31 @@ def _cmd_curves(args) -> int:
     return 0
 
 
+#: ``repro reproduce``: output file -> table name in ``TABLE_RENDERERS``
+REPRODUCED_FILES = {
+    "table1.txt": "1",
+    "table2.txt": "2",
+    "table3.txt": "3",
+    "table4.txt": "4",
+    "ablation_zoo.txt": "zoo",
+    "ablation_sizing.txt": "sizing",
+    "ablation_locks.txt": "locks",
+    "ablation_ws_family.txt": "wsfamily",
+    "ablation_adaptive.txt": "adaptive",
+    "controllability.txt": "control",
+    "geometry.txt": "geometry",
+    "multiprogramming.txt": "multiprog",
+}
+
+
 def _cmd_reproduce(args) -> int:
     """Regenerate every table and study, writing one file per artifact."""
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from repro.experiments.table1 import render_table1
-    from repro.experiments.table2 import render_table2
-    from repro.experiments.table3 import render_table3
-    from repro.experiments.table4 import render_table4
-    from repro.experiments.ablations import (
-        render_adaptive_study,
-        render_lock_ablation,
-        render_policy_zoo,
-        render_sizing_ablation,
-        render_ws_family,
-    )
-    from repro.experiments.controllability import render_controllability
-    from repro.experiments.geometry import render_geometry
-    from repro.experiments.multiprog_study import render_multiprog
+    from repro.experiments import render_table
 
-    artifacts = [
-        ("table1.txt", render_table1),
-        ("table2.txt", render_table2),
-        ("table3.txt", render_table3),
-        ("table4.txt", render_table4),
-        ("ablation_zoo.txt", render_policy_zoo),
-        ("ablation_sizing.txt", render_sizing_ablation),
-        ("ablation_locks.txt", render_lock_ablation),
-        ("ablation_ws_family.txt", render_ws_family),
-        ("ablation_adaptive.txt", render_adaptive_study),
-        ("controllability.txt", render_controllability),
-        ("geometry.txt", render_geometry),
-        ("multiprogramming.txt", render_multiprog),
-    ]
-    for filename, render in artifacts:
-        text = render()
+    for filename, which in REPRODUCED_FILES.items():
+        text = render_table(which)
         (out_dir / filename).write_text(text + "\n")
         print(f"wrote {out_dir / filename}")
         if args.show:

@@ -102,61 +102,3 @@ def table34_rows() -> List[CDVariant]:
     ]
     return [variant(label) for label in labels]
 
-
-def paper_reference_values() -> dict:
-    """The paper's published numbers, for EXPERIMENTS.md side-by-side
-    reporting (Table 1: (MEM, PF, ST×10⁻⁶))."""
-    return {
-        "table1": {
-            "MAIN": (1.62, 531, 3.39),
-            "MAIN1": (20.37, 144, 3.89),
-            "MAIN2": (12.23, 319, 10.6),
-            "MAIN3": (1.11, 652, 2.77),
-            "FDJAC": (2.47, 178, 1.46),
-            "FDJAC1": (3.11, 175, 2.04),
-            "TQL1": (2.48, 322, 2.84),
-            "TQL2": (2.02, 421, 3.063),
-        },
-        "table2": {  # (%ST LRU vs CD, %ST WS vs CD)
-            "MAIN3": (47, 17),
-            "FDJAC": (27, 39),
-            "FIELD": (23, 6),
-            "INIT": (133, 22),
-            "APPROX": (36, 58),
-            "HYBRJ": (31, 32),
-            "CONDUCT": (288, 32),
-            "TQL1": (7, 4),
-        },
-        "table3": {  # (ΔPF LRU, %ST LRU, ΔPF WS, %ST WS)
-            "MAIN": (1530, 146.3, 0, -4.7),
-            "MAIN1": (236, 338.87, 207, 316.45),
-            "MAIN2": (207, 35.5, 207, 19.8),
-            "MAIN3": (22665, 1585.9, 22665, 1585.9),
-            "FDJAC": (337, 115.75, 293, 91.1),
-            "FDJAC1": (53, -6.8, 296, 60.78),
-            "FIELD": (2643, 1538.9, 2, 18),
-            "INIT": (2287, 979.5, 775, 630),
-            "APPROX": (365, 54.3, 203, 83.5),
-            "HYBRJ": (317, 159.1, 283, 139.1),
-            "CONDUCT": (3477, 988.3, 1944, 1840.5),
-            "TQL1": (1017, 191.55, 958, 223.9),
-            "TQL2": (918, 170.6, 969, 214.4),
-            "HWSCRT": (4028, 1047.9, 4033, 2265.2),
-        },
-        "table4": {  # (%MEM LRU, %ST LRU, %MEM WS, %ST WS)
-            "MAIN": (150, 32, 14, -4.7),
-            "MAIN1": (170, 415.68, 72.5, 216.45),
-            "MAIN2": (88, 58, 80.5, 49.5),
-            "MAIN3": (170.3, 46.6, 64, 16.6),
-            "FDJAC": (102, 26.7, 123, 39),
-            "FDJAC1": (60.7, -9.3, 77, -0.3),
-            "FIELD": (106.8, 29.5, 53.4, 28),
-            "INIT": (171.2, 132.5, 151.8, 108.2),
-            "APPROX": (105.8, 36.2, 34.4, 77.9),
-            "HYBRJ": (41.5, 29.5, 82.3, 140),
-            "CONDUCT": (283.7, 324.6, 11.6, 36.1),
-            "TQL1": (61.3, 34.8, 86.4, 4.2),
-            "TQL2": (98, 25.2, 128.8, -3.3),
-            "HWSCRT": (442, 433.5, 124.6, 234.3),
-        },
-    }

@@ -15,9 +15,8 @@ needs the same artifacts.  Three layers keep that cost paid once:
   cache entries for many workloads in parallel (``--jobs``).
 
 CD replays go through :func:`repro.vm.fastsim.simulate_cd_fast`, which
-is exact for every configuration; only a traced replay under a memory
-ceiling or LOCK pinning runs the event-driven simulator, whose policy
-emits the denial, eviction and pin events.
+is exact for every configuration; a traced replay runs the event-driven
+simulator, whose policy is the one source of paging events.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from repro.tracegen import io as trace_io
 from repro.tracegen.events import ReferenceTrace
 from repro.tracegen.interpreter import generate_trace
 from repro.vm.analyzers import LRUSweep, WSSweep
-from repro.vm.fastsim import simulate_cd_fast, synthesizes_events
+from repro.vm.fastsim import simulate_cd_fast
 from repro.vm.metrics import SimulationResult
 from repro.vm.policies import CDConfig, CDPolicy
 from repro.vm.simulator import simulate
@@ -120,12 +119,6 @@ def timelines_dir() -> Optional[Path]:
     return Path(env) if env else None
 
 
-def _timeline_name(workload: str, config: CDConfig) -> str:
-    cap = "all" if config.pi_cap is None else str(config.pi_cap)
-    limit = "none" if config.memory_limit is None else str(config.memory_limit)
-    return f"{workload.lower()}-cd-pi{cap}-mem{limit}.jsonl"
-
-
 @dataclass
 class WorkloadArtifacts:
     """Everything the experiments need for one benchmark program."""
@@ -136,40 +129,45 @@ class WorkloadArtifacts:
     trace: ReferenceTrace  # instrumented (directives included)
     lru: LRUSweep = field(repr=False, default=None)
     ws: WSSweep = field(repr=False, default=None)
+    with_locks: bool = False  # the trace executes LOCK/UNLOCK events
+
+    def timeline_name(self, config: CDConfig) -> str:
+        """The file a traced replay under ``config`` writes, named by
+        every input that selects the replay: workload, page size,
+        sizing strategy, LOCK mode, PI cap and ceiling."""
+        locks = "nolocks"
+        if self.with_locks:
+            locks = "locks" if config.honor_locks else "locks-ignored"
+        cap = "all" if config.pi_cap is None else str(config.pi_cap)
+        limit = "none" if config.memory_limit is None else str(config.memory_limit)
+        return (
+            f"{self.name.lower()}-{self.analysis.page_config.page_bytes}b"
+            f"-{self.analysis.strategy.value}-{locks}-cd-pi{cap}-mem{limit}.jsonl"
+        )
 
     def cd_result(self, config: Optional[CDConfig] = None) -> SimulationResult:
         """Replay the trace under CD with ``config``.
 
-        Uses the fast replay, except that a traced replay under a
-        memory ceiling or LOCK pinning runs the event-driven simulator.
+        Uses the fast replay, except that a traced replay (see
+        :func:`timelines_dir`) runs the event-driven simulator.
         """
         config = config or CDConfig()
-        tracer = None
         tdir = timelines_dir()
-        if tdir is not None:
+        t0 = time.perf_counter()
+        if tdir is None:
+            result = simulate_cd_fast(self.trace, config, distances=self.lru._distances)
+        else:
             from repro.obs import JsonlSink, Tracer
 
-            tracer = Tracer(
-                JsonlSink(tdir / _timeline_name(self.name, config))
-            )
-        t0 = time.perf_counter()
-        try:
-            if tracer is None or synthesizes_events(self.trace.directive_table, config):
-                result = simulate_cd_fast(
-                    self.trace,
-                    config,
-                    distances=self.lru._distances,
-                    tracer=tracer,
-                )
-            else:
+            tracer = Tracer(JsonlSink(tdir / self.timeline_name(config)))
+            try:
                 result = simulate(
                     self.trace,
                     CDPolicy(config),
                     tracer=tracer,
                     sample_interval=max(1, len(self.trace.pages) // 4096),
                 )
-        finally:
-            if tracer is not None:
+            finally:
                 tracer.close()
         STATS.add("simulate", time.perf_counter() - t0, len(self.trace.pages))
         return result
@@ -472,6 +470,7 @@ def artifacts_for(
         trace=trace,
         lru=lru,
         ws=ws,
+        with_locks=with_locks,
     )
     _CACHE[key] = artifacts
     return artifacts

@@ -2,8 +2,8 @@
 
 Everything here is computed from the typed events alone (plus the
 trace's array layout for attribution), so the same analysis applies to
-an in-memory ring buffer, a JSONL timeline file, or the synthesized
-stream of the closed-form CD replay:
+an in-memory ring buffer or a JSONL timeline file, both written by the
+event-driven simulator:
 
 * fault inter-arrival histogram (power-of-two buckets);
 * per-array fault attribution (which array's pages miss);

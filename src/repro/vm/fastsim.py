@@ -33,17 +33,6 @@ arithmetic.  The structure walk of the trace-free tiers
 ramp step.  Honored LOCKs take pinned pages out of the LRU order, so
 they replay fault to fault instead (:func:`_replay_pinned`, below).
 
-With a ``tracer`` the CD replay *synthesizes* the observability events
-the event-driven path would emit — one :class:`~repro.obs.Fault` per
-fault (with page identity and post-fault residency), ALLOCATE
-request/grant events from the directive schedule, and resident-set
-samples at each point the (piecewise constant) residency changes — so
-timelines taken on the fast path stay comparable with the reference
-simulator: fault counts and positions match exactly.  Per-eviction
-events are not synthesized (recovering victim identity would need the
-full LRU stack), nor are the denials, swaps and pins of a ceiling or
-of LOCKs: a traced replay of those runs the event-driven simulator.
-
 **PFF, OPT, FIFO and pinned CD** (:func:`simulate_pff_fast`,
 :func:`simulate_opt_fast`, :func:`simulate_fifo_fast`,
 :func:`_replay_pinned`) move from fault to fault: the resident set is
@@ -52,8 +41,10 @@ it, found by a short scalar look-ahead and then widening vectorized
 windows.  PFF, OPT and pinned CD reduce to every reference's previous
 or next occurrence (:func:`~repro.vm.analyzers.previous_occurrences`,
 :func:`~repro.vm.analyzers.next_occurrences`), the reuse-interval view
-of the string; FIFO needs only its insertion queue.  None takes a
-tracer; traced replays use the event-driven policies.
+of the string; FIFO needs only its insertion queue.
+
+No fast replay takes a tracer: a traced replay runs the event-driven
+policy, the one source of paging events.
 """
 
 from __future__ import annotations
@@ -95,14 +86,6 @@ class CDSchedule(NamedTuple):
     granted: np.ndarray  # int64[E]
     swaps: int
     denials: int
-
-
-def synthesizes_events(table: DirectiveTable, config: CDConfig) -> bool:
-    """True when :func:`simulate_cd_fast` can emit a tracer's events:
-    no memory ceiling and no honored LOCK.  Denials, swaps, evictions
-    and pins come only from the event-driven
-    :class:`~repro.vm.policies.cd.CDPolicy`."""
-    return config.memory_limit is None and not (config.honor_locks and table.has_locks)
 
 
 def cd_schedule(table: DirectiveTable, config: CDConfig, length: int) -> CDSchedule:
@@ -218,8 +201,6 @@ def replay_cd(
     schedule: CDSchedule,
     seg_faults: np.ndarray,
     ramp: Ramp,
-    on_saturated: Optional[Callable[[int, int], None]] = None,
-    clamps: Optional[List[int]] = None,
 ) -> List[int]:
     """The CD recurrence over the schedule's segments.
 
@@ -229,9 +210,7 @@ def replay_cd(
     end, adding that segment's faults, Σ residency after each
     reference and Σ residency at faults to ``acc``.  Segments entered
     at their target are accounted from prefix sums in one step per
-    run of them; ``on_saturated(s, e)`` sees each such run
-    ``[s, e)``.  ``clamps`` collects (in order) the ALLOCATE indices
-    whose grant shrank the live residency.
+    run of them.
 
     Returns ``acc = [faults, Σ residency, Σ residency at faults]``.
     """
@@ -252,8 +231,6 @@ def replay_cd(
     while k < len(tl):
         t = tl[k]
         if r > t:
-            if clamps is not None:
-                clamps.append(k - 1)
             r = t
         if r < t:
             r = ramp(k, r, acc)
@@ -265,11 +242,6 @@ def replay_cd(
         acc[0] += int(cum_faults[e] - cum_faults[k])
         acc[1] += int(cum_mem[e] - cum_mem[k])
         acc[2] += int(cum_fault_mem[e] - cum_fault_mem[k])
-        if on_saturated is not None:
-            on_saturated(k, e)
-        if clamps is not None and e - k > 1:
-            drops = np.flatnonzero(targets[k + 1 : e] < targets[k : e - 1])
-            clamps.extend((drops + k).tolist())
         r = tl[e - 1]
         k = e
     return acc
@@ -280,7 +252,6 @@ def simulate_cd_fast(
     config: Optional[CDConfig] = None,
     distances: Optional[np.ndarray] = None,
     fault_service: int = FAULT_SERVICE_REFERENCES,
-    tracer=None,
 ) -> SimulationResult:
     """Replay ``trace`` under CD without a per-reference loop.
 
@@ -289,26 +260,15 @@ def simulate_cd_fast(
     (:func:`replay_cd`).  ``distances`` are the trace's LRU stack
     distances (cold = huge), which only the closed form reads; pass
     ``LRUSweep(trace)._distances`` — or leave None to compute them here.
-
-    ``tracer`` (optional) receives synthesized Fault/ALLOCATE/sample
-    events equivalent to the event-driven path's stream; a traced
-    replay raises ValueError where :func:`synthesizes_events` is False.
     """
     config = config or CDConfig()
     table = trace.directive_table
-    if tracer is not None and not synthesizes_events(table, config):
-        raise ValueError(
-            "a traced replay under a memory ceiling or LOCK pinning needs "
-            "the event-driven simulator"
-        )
     schedule = cd_schedule(table, config, len(trace.pages))
     releases = 0
     if config.honor_locks and table.has_locks:
         faults, mem_sum, fault_mem, releases = _replay_pinned(trace, config, schedule)
     else:
-        faults, mem_sum, fault_mem = _replay_closed_form(
-            trace, schedule, distances, tracer
-        )
+        faults, mem_sum, fault_mem = _replay_closed_form(trace, schedule, distances)
     return _fast_result(
         "CD",
         trace,
@@ -327,7 +287,6 @@ def _replay_closed_form(
     trace: ReferenceTrace,
     schedule: CDSchedule,
     distances: Optional[np.ndarray],
-    tracer,
 ) -> Tuple[int, int, int]:
     """``(faults, Σ residency, Σ residency at faults)`` of CD as LRU
     under the schedule's piecewise-constant target."""
@@ -336,13 +295,11 @@ def _replay_closed_form(
     d = distances
     bounds, targets = schedule.bounds, schedule.targets
     threshold = np.repeat(targets, np.diff(bounds))
-    above = d > threshold  # a fault whenever the residency is at target
-    prefix = prefix_sum(above)
+    # a fault whenever the residency is at target
+    prefix = prefix_sum(d > threshold)
     seg_faults = prefix[bounds[1:]] - prefix[bounds[:-1]]
     bl = bounds.tolist()
     tl = targets.tolist()
-    # (position, post-fault residency) per fault, in replay order
-    fault_log: Optional[List[Tuple[int, int]]] = [] if tracer is not None else None
 
     def ramp(k: int, r: int, acc: List[int]) -> int:
         cur, b, t = bl[k], bl[k + 1], tl[k]
@@ -355,33 +312,14 @@ def _replay_closed_form(
             r += 1
             acc[0] += 1
             acc[2] += r
-            if fault_log is not None:
-                fault_log.append((j, r))
             cur = j + 1
         faults = int(prefix[b] - prefix[cur])
         acc[0] += faults
         acc[1] += t * (b - cur)
         acc[2] += t * faults
-        if fault_log is not None:
-            hits = cur + np.flatnonzero(above[cur:b])
-            fault_log.extend((j, t) for j in hits.tolist())
         return r
 
-    def saturated(k: int, e: int) -> None:
-        lo, hi = bl[k], bl[e]
-        hits = lo + np.flatnonzero(above[lo:hi])
-        fault_log.extend(zip(hits.tolist(), threshold[hits].tolist()))
-
-    clamps: Optional[List[int]] = [] if tracer is not None else None
-    faults, mem_sum, fault_mem = replay_cd(
-        schedule,
-        seg_faults,
-        ramp,
-        on_saturated=saturated if tracer is not None else None,
-        clamps=clamps,
-    )
-    if tracer is not None:
-        _emit_events(tracer, trace, schedule, fault_log, clamps)
+    faults, mem_sum, fault_mem = replay_cd(schedule, seg_faults, ramp)
     return faults, mem_sum, fault_mem
 
 
@@ -574,56 +512,6 @@ def _replay_pinned(
         cur = end
     mem_sum += len(latest) * (n - mark)
     return faults, mem_sum, fault_mem, releases
-
-
-def _emit_events(tracer, trace, schedule: CDSchedule, faults, clamps) -> None:
-    """Replay order: each ALLOCATE's request/grant (and the clamp
-    sample when it shrank the residency) after the faults before its
-    position; each fault as a Fault plus a post-fault sample."""
-    from repro.obs import events as obs
-
-    table = trace.directive_table
-    pages = trace.pages
-    req_off = table.req_offsets.tolist()
-    req_pi = table.req_pi.tolist()
-    req_pages = table.req_pages.tolist()
-    sites = table.site[schedule.rows].tolist()
-    rows = schedule.rows.tolist()
-    granted = schedule.granted.tolist()
-    targets = schedule.targets.tolist()
-    clamped = set(clamps)
-
-    def emit_fault(index: int, resident: int) -> None:
-        tracer.emit(obs.Fault(time=index, page=int(pages[index]), resident=resident))
-        tracer.emit(obs.ResidentSample(time=index, resident=resident))
-
-    fi = 0
-    for e, position in enumerate(schedule.bounds[1:-1].tolist()):
-        while fi < len(faults) and faults[fi][0] < position:
-            emit_fault(*faults[fi])
-            fi += 1
-        a, b = req_off[rows[e]], req_off[rows[e] + 1]
-        tracer.emit(
-            obs.AllocateRequest(
-                time=position,
-                site=sites[e],
-                requests=tuple(zip(req_pi[a:b], req_pages[a:b])),
-            )
-        )
-        g = granted[e]
-        tracer.emit(
-            obs.AllocateGrant(
-                time=position,
-                site=sites[e],
-                pages=req_pages[g],
-                priority_index=req_pi[g],
-                target=targets[e + 1],
-            )
-        )
-        if e in clamped:
-            tracer.emit(obs.ResidentSample(time=position, resident=targets[e + 1]))
-    for fault in faults[fi:]:
-        emit_fault(*fault)
 
 
 def simulate_pff_fast(

@@ -1,14 +1,15 @@
 """The paper's headline trends, asserted on the reproduced tables.
 
 Each test regenerates one table (or ablation) and checks the shape the
-paper reports for it; ``benchmarks/bench_table*.py`` and
-``bench_ablations.py`` time and print the same tables.
+paper reports for it; ``repro reproduce`` writes the same tables, and
+``tests/test_reproduce_cli.py`` byte-compares them with ``results/``.
 """
 
 from repro.experiments.ablations import (
     lock_ablation,
     policy_zoo,
     sizing_strategy_ablation,
+    ws_family_comparison,
 )
 from repro.experiments.table1 import generate_table1
 from repro.experiments.table2 import generate_table2
@@ -75,3 +76,9 @@ def test_lock_never_adds_faults_and_saves_on_tql():
     for row in rows:
         assert row.locked_pf <= row.bare_pf
     assert {r.program: r for r in rows}["TQL"].pf_saved > 1000
+
+
+def test_dws_never_holds_less_memory_than_ws():
+    # damping only holds pages longer; DWS MEM is not a printed column
+    for row in ws_family_comparison(["MAIN", "TQL", "CONDUCT"]):
+        assert row.dws_mem >= row.ws_mem - 1e-9

@@ -11,7 +11,6 @@ import pytest
 
 from repro.directives.model import AllocateRequest as AllocReq
 from repro.tracegen.events import DirectiveEvent, DirectiveKind, ReferenceTrace
-from repro.vm.fastsim import simulate_cd_fast
 from repro.vm.multiprog import MultiprogSimulator
 from repro.vm.policies import (
     CDConfig,
@@ -241,43 +240,6 @@ class TestAdaptiveTracing:
         changes = by_type(events, LevelChange)
         assert policy.level_raises + policy.level_drops == len(changes)
         assert changes and changes[0].new_level == changes[0].old_level + 1
-
-
-class TestFastsimTracing:
-    def test_synthesized_stream_matches_simulator(self):
-        pages = ([0, 1, 2, 3] * 10 + [5, 6] * 12) * 4
-        directives = [alloc(0, (2, 4)), alloc(40, (1, 2), site=1)]
-        trace = make_trace(pages, directives)
-        ring_fast = RingBufferSink()
-        fast = simulate_cd_fast(
-            trace, CDConfig(), tracer=Tracer(ring_fast)
-        )
-        ring_slow = RingBufferSink()
-        slow = simulate(trace, CDPolicy(CDConfig()), tracer=Tracer(ring_slow))
-        assert fast.page_faults == slow.page_faults
-        fast_faults = [(e.time, e.page) for e in by_type(ring_fast.events, Fault)]
-        slow_faults = [(e.time, e.page) for e in by_type(ring_slow.events, Fault)]
-        assert fast_faults == slow_faults
-        fast_grants = [
-            (g.site, g.pages, g.target)
-            for g in by_type(ring_fast.events, AllocateGrant)
-        ]
-        slow_grants = [
-            (g.site, g.pages, g.target)
-            for g in by_type(ring_slow.events, AllocateGrant)
-        ]
-        assert fast_grants == slow_grants
-
-    def test_untraced_fastsim_unchanged(self):
-        trace = make_trace([0, 1, 2] * 30, [alloc(0, (1, 2))])
-        a = simulate_cd_fast(trace, CDConfig())
-        ring = RingBufferSink()
-        b = simulate_cd_fast(trace, CDConfig(), tracer=Tracer(ring))
-        assert (a.page_faults, a.mem_average, a.space_time) == (
-            b.page_faults,
-            b.mem_average,
-            b.space_time,
-        )
 
 
 class TestMultiprogTracing:

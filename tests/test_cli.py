@@ -209,12 +209,19 @@ class TestTable:
         assert main(["table", "1", "--timelines", str(tdir)]) == 0
         assert dict(os.environ) == before  # the flag configures no process state
         capsys.readouterr()
-        files = sorted(tdir.glob("*.jsonl"))
-        assert files, "table --timelines must persist per-cell event logs"
+        from repro.experiments.config import table1_rows
+        from repro.experiments.runner import artifacts_for
+        from repro.experiments.table1 import generate_table1
         from repro.obs import Fault, load_events
 
-        events = load_events(files[0])
-        assert any(isinstance(e, Fault) for e in events)
+        # one file per row, each holding that row's replay
+        variants = table1_rows()
+        assert len(list(tdir.glob("*.jsonl"))) == len(variants) == 8
+        for variant, row in zip(variants, generate_table1()):
+            artifacts = artifacts_for(variant.workload, with_locks=variant.with_locks)
+            events = load_events(tdir / artifacts.timeline_name(variant.config))
+            faults = sum(isinstance(e, Fault) for e in events)
+            assert faults == row.page_faults, variant.label
 
 
 class TestTracePolicy:

@@ -1,13 +1,22 @@
 """Every untraced CD replay goes through ``simulate_cd_fast``, LOCK
-pinning and memory ceilings included; only a traced replay of those
-configurations runs the event-driven simulator, whose policy emits the
-denial, eviction and pin events."""
+pinning and memory ceilings included; every traced replay runs the
+event-driven simulator, whose policy is the one source of paging
+events."""
 
 import pytest
 
+from repro.analysis.locality import SizingStrategy
+from repro.analysis.parameters import PageConfig
 from repro.experiments import runner as runner_mod
 from repro.experiments.runner import artifacts_for, clear_cache, replay_options
-from repro.obs import RingBufferSink, Tracer
+from repro.obs import (
+    Evict,
+    Fault,
+    ResidentSample,
+    RingBufferSink,
+    Tracer,
+    load_events,
+)
 from repro.tracegen.events import DirectiveEvent, DirectiveKind
 from repro.vm.fastsim import simulate_cd_fast
 from repro.vm.policies import CDConfig, CDPolicy
@@ -30,18 +39,16 @@ def _lock_trace():
     return make_trace([0, 1, 2, 0, 1, 2], directives=[lock, unlock])
 
 
-def test_traced_replay_refuses_what_it_cannot_synthesize():
-    tracer = Tracer(RingBufferSink())
-    with pytest.raises(ValueError):
-        simulate_cd_fast(make_trace([0, 1, 2]), CDConfig(memory_limit=4), tracer=tracer)
-    with pytest.raises(ValueError):
-        simulate_cd_fast(_lock_trace(), CDConfig(honor_locks=True), tracer=tracer)
-    # ignored LOCKs, and an UNLOCK without a LOCK, trace in closed form
-    simulate_cd_fast(_lock_trace(), CDConfig(honor_locks=False), tracer=tracer)
+def test_ignored_locks_and_unlock_without_lock_replay_as_the_policy_does():
     unlock = DirectiveEvent(
         position=2, kind=DirectiveKind.UNLOCK, site=1, lock_pages=(0,)
     )
-    simulate_cd_fast(make_trace([0, 1, 2, 0], directives=[unlock]), tracer=tracer)
+    cases = [
+        (_lock_trace(), CDConfig(honor_locks=False)),
+        (make_trace([0, 1, 2, 0], directives=[unlock]), CDConfig()),
+    ]
+    for trace, config in cases:
+        assert simulate_cd_fast(trace, config) == simulate(trace, CDPolicy(config))
 
 
 @pytest.fixture
@@ -53,6 +60,7 @@ def artifacts(monkeypatch, tmp_path):
 
 
 CONFIGS = [
+    CDConfig(honor_locks=False),
     CDConfig(honor_locks=True),
     CDConfig(pi_cap=1, honor_locks=True),
     CDConfig(memory_limit=4),
@@ -70,14 +78,60 @@ def test_untraced_replays_never_run_the_simulator(artifacts, monkeypatch):
         assert result == simulate(artifacts.trace, CDPolicy(config))
 
 
-def test_traced_lock_replay_runs_the_simulator(artifacts, monkeypatch, tmp_path):
+def test_traced_replays_run_the_simulator(artifacts, monkeypatch, tmp_path):
     def forbidden(*_args, **_kwargs):  # pragma: no cover - failure path
-        raise AssertionError("a traced LOCK replay cannot synthesize its events")
+        raise AssertionError("a traced CD replay ran the fast path")
 
-    config = CDConfig(honor_locks=True)
-    untraced = artifacts.cd_result(config)
+    policies = []
+
+    def spy(trace, policy, **kwargs):
+        policies.append(policy)
+        return simulate(trace, policy, **kwargs)
+
+    untraced = [artifacts.cd_result(config) for config in CONFIGS]
     monkeypatch.setattr(runner_mod, "simulate_cd_fast", forbidden)
-    with replay_options(timelines=tmp_path):
-        traced = artifacts.cd_result(config)
+    monkeypatch.setattr(runner_mod, "simulate", spy)
+    tdir = tmp_path / "timelines"
+    tdir.mkdir()
+    with replay_options(timelines=tdir):
+        traced = [artifacts.cd_result(config) for config in CONFIGS]
     assert traced == untraced
-    assert list(tmp_path.glob("tql-cd-*.jsonl"))
+    assert [type(p) for p in policies] == [CDPolicy] * len(CONFIGS)
+    assert [p.config for p in policies] == CONFIGS
+    # one file per configuration
+    names = {artifacts.timeline_name(config) for config in CONFIGS}
+    assert len(names) == len(CONFIGS)
+    assert {path.name for path in tdir.glob("*.jsonl")} == names
+
+
+def _paging_events(events):
+    """Every event but the resident samples, whose interval the replay picks."""
+    return [e for e in events if not isinstance(e, ResidentSample)]
+
+
+def test_traced_replay_persists_the_policy_stream(artifacts, tmp_path):
+    config = CDConfig(memory_limit=4, honor_locks=True)
+    with replay_options(timelines=tmp_path):
+        artifacts.cd_result(config)
+    ring = RingBufferSink()
+    simulate(artifacts.trace, CDPolicy(config), tracer=Tracer(ring))
+    persisted = load_events(tmp_path / artifacts.timeline_name(config))
+    assert _paging_events(persisted) == _paging_events(ring.events)
+    assert any(isinstance(e, Evict) for e in persisted)
+
+
+def test_timelines_of_page_sizes_and_sizing_strategies_stay_apart(tmp_path):
+    config = CDConfig(pi_cap=1)
+    cells = [
+        artifacts_for("APPROX", PageConfig(page_bytes=page_bytes), strategy=strategy)
+        for page_bytes in (256, 512)
+        for strategy in SizingStrategy
+    ]
+    untraced = [cell.cd_result(config).page_faults for cell in cells]
+    with replay_options(timelines=tmp_path):
+        for cell in cells:
+            cell.cd_result(config)
+    assert len(list(tmp_path.glob("*.jsonl"))) == len(cells)
+    for cell, faults in zip(cells, untraced):
+        events = load_events(tmp_path / cell.timeline_name(config))
+        assert sum(isinstance(e, Fault) for e in events) == faults
